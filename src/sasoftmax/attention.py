@@ -1,11 +1,12 @@
 """Single-head causal attention with a pluggable scoring variant and a
 hand-written backward pass.
 
-The forward pass computes z = QK^T/sqrt(d_k) (+ bias), applies the selected
-scoring function row by row under the causal mask, and returns the weighted
-sum of values. The backward pass rebuilds one T x T JacobianBlock per query
-row from the cached logits instead of storing all of them, keeping memory at
-O(T^2) while staying exact.
+Inputs are stacks of shape (..., T, d); leading axes are batch axes, so one
+call serves both a single head and the trainer's (B, T, d) batch. The forward
+pass computes z = (QK^T) * (1/sqrt(d)) (+ bias), applies the selected scoring
+function under the causal mask, and returns the weighted sum of values. The
+backward pass maps the weight-space gradient to the logits with the batched
+vector-Jacobian product, O(T) memory per query row and exact.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CacheMismatch, NonFiniteInput, OddHeadDim, ShapeMismatch
-from .jacobians import variant_jacobian
-from .variants import DEFAULT_EPS, LogitRow, VariantKind, variant_weights
+from .jacobians import variant_weight_vjp
+from .variants import DEFAULT_EPS, VariantKind, variant_weights
 
 
 def causal_mask(t: int) -> np.ndarray:
@@ -26,6 +27,8 @@ def causal_mask(t: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AttentionInput:
+    """q, k, v of shape (..., T, d); bias, if given, of shape (..., T, T)."""
+
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
@@ -34,7 +37,6 @@ class AttentionInput:
     rope: bool = False
     rope_base: float = 10000.0
     eps: float = DEFAULT_EPS
-    d_k: int | None = None
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,7 @@ class AttentionCache:
     v: np.ndarray
     scores: np.ndarray
     weights: np.ndarray
+    mask: np.ndarray
     kind: VariantKind
     eps: float
     scale: float
@@ -62,31 +65,29 @@ class AttentionGrads:
     dbias: np.ndarray | None
 
 
-def _as_matrix(name: str, x: np.ndarray) -> np.ndarray:
+def _as_stack(name: str, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeMismatch(f"{name} must be 2-D, got shape {x.shape}")
+    if x.ndim < 2:
+        raise ShapeMismatch(f"{name} must be at least 2-D (..., T, d), got shape {x.shape}")
     return x
 
 
-def scaled_scores(q: np.ndarray, k: np.ndarray, d_k: int | None = None,
+def scaled_scores(q: np.ndarray, k: np.ndarray,
                   bias: np.ndarray | None = None) -> np.ndarray:
-    """Causal logit matrix z[i][j] = q_i . k_j / sqrt(d_k) (+ bias).
+    """Causal logit stack z[..., i, j] = (q_i . k_j) * (1/sqrt(d)) (+ bias).
 
     Row i is live for columns j <= i; entries above the diagonal are computed
     but carry no meaning and are ignored downstream.
     """
-    q = _as_matrix("q", q)
-    k = _as_matrix("k", k)
+    q = _as_stack("q", q)
+    k = _as_stack("k", k)
     if q.shape != k.shape:
         raise ShapeMismatch(f"q {q.shape} and k {k.shape} must agree")
-    if d_k is None:
-        d_k = q.shape[1]
-    z = (q @ k.T) / np.sqrt(float(d_k))
+    z = (q @ np.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(float(q.shape[-1])))
     if bias is not None:
-        bias = _as_matrix("bias", bias)
-        if bias.shape != (q.shape[0], q.shape[0]):
-            raise ShapeMismatch(f"bias must be {q.shape[0]}x{q.shape[0]}, got {bias.shape}")
+        bias = _as_stack("bias", bias)
+        if bias.shape != z.shape:
+            raise ShapeMismatch(f"bias must have shape {z.shape}, got {bias.shape}")
         z = z + bias
     return z
 
@@ -129,25 +130,25 @@ def rope_rotate_back(grad: np.ndarray, base: float = 10000.0) -> np.ndarray:
 
 
 def attention_forward(inp: AttentionInput) -> tuple[np.ndarray, AttentionCache]:
-    """output[i] = sum_{j<=i} weights[i][j] * v[j], weights per the variant."""
-    q = _as_matrix("q", inp.q)
-    k = _as_matrix("k", inp.k)
-    v = _as_matrix("v", inp.v)
+    """output[..., i, :] = sum_{j<=i} weights[..., i, j] * v[..., j, :]."""
+    q = _as_stack("q", inp.q)
+    k = _as_stack("k", inp.k)
+    v = _as_stack("v", inp.v)
     if q.shape != k.shape or q.shape != v.shape:
         raise ShapeMismatch(f"q {q.shape}, k {k.shape}, v {v.shape} must agree")
     for name, arr in (("q", q), ("k", k), ("v", v), ("bias", inp.bias)):
         if arr is not None and not np.all(np.isfinite(arr)):
             raise NonFiniteInput(f"{name} contains NaN or Inf")
 
-    d_k = inp.d_k if inp.d_k is not None else q.shape[1]
     q_rot = rope_rotate(q, inp.rope_base) if inp.rope else q
     k_rot = rope_rotate(k, inp.rope_base) if inp.rope else k
-    scores = scaled_scores(q_rot, k_rot, d_k, inp.bias)
-    weights = variant_weights(scores, causal_mask(q.shape[0]), inp.kind, inp.eps)
+    scores = scaled_scores(q_rot, k_rot, inp.bias)
+    mask = causal_mask(q.shape[-2])
+    weights = variant_weights(scores, mask, inp.kind, inp.eps)
     out = weights @ v
     cache = AttentionCache(
-        q_rot=q_rot, k_rot=k_rot, v=v, scores=scores, weights=weights,
-        kind=inp.kind, eps=inp.eps, scale=1.0 / np.sqrt(float(d_k)),
+        q_rot=q_rot, k_rot=k_rot, v=v, scores=scores, weights=weights, mask=mask,
+        kind=inp.kind, eps=inp.eps, scale=1.0 / np.sqrt(float(q.shape[-1])),
         rope=inp.rope, rope_base=inp.rope_base, has_bias=inp.bias is not None,
     )
     return out, cache
@@ -156,25 +157,19 @@ def attention_forward(inp: AttentionInput) -> tuple[np.ndarray, AttentionCache]:
 def attention_backward(cache: AttentionCache, d_out: np.ndarray) -> AttentionGrads:
     """Exact gradients of the attention output with respect to q, k, v, bias.
 
-    dz for query row i is JacobianBlock(row i)^T applied to the weight-space
-    gradient d_out[i] @ v^T; blocks are recomputed from the cached logits one
-    row at a time.
+    The weight-space gradient d_out @ v^T is pulled back to the logits by
+    variant_weight_vjp, batched over every query row of every stack.
     """
     d_out = np.asarray(d_out, dtype=np.float64)
     if d_out.shape != cache.v.shape:
         raise CacheMismatch(f"d_out shape {d_out.shape} does not match forward {cache.v.shape}")
 
-    t = cache.v.shape[0]
-    dv = cache.weights.T @ d_out
-    dw = d_out @ cache.v.T
-
-    dz = np.zeros((t, t))
-    for i in range(t):
-        block = variant_jacobian(LogitRow(cache.scores[i], i + 1), cache.kind, cache.eps)
-        dz[i] = block.entries.T @ dw[i]
+    dv = np.swapaxes(cache.weights, -1, -2) @ d_out
+    dw = d_out @ np.swapaxes(cache.v, -1, -2)
+    dz = variant_weight_vjp(cache.scores, cache.mask, dw, cache.kind, cache.eps)
 
     dq_rot = (dz @ cache.k_rot) * cache.scale
-    dk_rot = (dz.T @ cache.q_rot) * cache.scale
+    dk_rot = (np.swapaxes(dz, -1, -2) @ cache.q_rot) * cache.scale
     if cache.rope:
         dq = rope_rotate_back(dq_rot, cache.rope_base)
         dk = rope_rotate_back(dk_rot, cache.rope_base)

@@ -52,3 +52,7 @@ class TextTooShort(SaSoftmaxError):
 
 class NonFiniteGradient(SaSoftmaxError):
     """A parameter gradient became NaN or infinite during training."""
+
+
+class CheckpointError(SaSoftmaxError, ValueError):
+    """A checkpoint file is corrupt, truncated, or not a checkpoint at all."""

@@ -28,7 +28,6 @@ from .variants import (
     ScoreRow,
     VariantKind,
     _checked_values,
-    apply_variant,
     masked_extrema,
     masked_softmax,
     variant_scaler,
@@ -155,32 +154,19 @@ def fd_jacobian(z: LogitRow, kind: VariantKind, eps: float = DEFAULT_EPS,
     """Central-difference Jacobian oracle; perturbs live entries only."""
     if h <= 0.0:
         raise ValueError(f"h must be positive, got {h}")
+    if eps <= 0.0:
+        raise ValueError(f"eps must be positive, got {eps}")
     values = _checked_values(z)
-    t = values.shape[0]
-    out = np.zeros((t, t))
-    for k in range(z.valid_len):
-        bump = np.zeros(t)
-        bump[k] = h
-        plus = apply_variant(LogitRow(values + bump, z.valid_len), kind, eps)
-        minus = apply_variant(LogitRow(values - bump, z.valid_len), kind, eps)
-        out[:, k] = (plus.weights - minus.weights) / (2.0 * h)
-    return JacobianBlock(entries=out, valid_len=z.valid_len)
+    live = values[: z.valid_len][np.newaxis, :]
+    block = _fd_full_rows(live, kind, eps, h)[0]
+    return JacobianBlock(entries=_embed_block(block, values.shape[0]), valid_len=z.valid_len)
 
 
 def is_tie_row(z: LogitRow, kind: VariantKind, h: float = FD_STEP) -> bool:
     """True if a +-h perturbation could flip an extrema choice (or a v4 clamp
     branch), making the finite-difference comparison ill-defined."""
-    values = _checked_values(z)
-    live = values[: z.valid_len]
-    margin = TIE_MARGIN_STEPS * h
-    if live.shape[0] > 1:
-        gaps = np.diff(np.sort(live))
-        if gaps.min() < margin:
-            return True
-    if kind is VariantKind.V4:
-        if abs(live.min()) < margin or abs(live.max()) < margin:
-            return True
-    return False
+    live = _checked_values(z)[: z.valid_len]
+    return bool(_tie_rows(live[np.newaxis, :], kind, h)[0])
 
 
 def _tie_rows(z: np.ndarray, kind: VariantKind, h: float) -> np.ndarray:

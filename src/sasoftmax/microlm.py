@@ -18,17 +18,17 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erf
 
-from .attention import causal_mask, rope_rotate, rope_rotate_back
+from .attention import AttentionInput, attention_backward, attention_forward, causal_mask
 from .errors import (
     CacheMismatch,
+    CheckpointError,
     CorpusTooSmall,
     NonFiniteGradient,
     ShapeMismatch,
     TextTooShort,
     UnknownSymbol,
 )
-from .jacobians import variant_weight_vjp
-from .variants import DEFAULT_EPS, VariantKind, variant_weights
+from .variants import DEFAULT_EPS, VariantKind
 
 LN_EPS = 1e-5
 CHECKPOINT_MAGIC = b"SAXLM001"
@@ -200,9 +200,6 @@ def forward_loss(params: dict, inputs: np.ndarray, targets: np.ndarray,
     if inputs.shape != targets.shape or inputs.ndim != 2:
         raise ShapeMismatch(f"inputs {inputs.shape} and targets {targets.shape} must be equal 2-D")
     b, t = inputs.shape
-    d = cfg.d_model
-    scale = 1.0 / np.sqrt(float(d))
-    mask = causal_mask(t)
 
     x = params["embed"][inputs]
     layers = []
@@ -212,14 +209,8 @@ def forward_loss(params: dict, inputs: np.ndarray, targets: np.ndarray,
         q = a @ params[pre + "wq"]
         k = a @ params[pre + "wk"]
         v = a @ params[pre + "wv"]
-        if cfg.rope:
-            q_rot = rope_rotate(q, cfg.rope_base)
-            k_rot = rope_rotate(k, cfg.rope_base)
-        else:
-            q_rot, k_rot = q, k
-        z = (q_rot @ k_rot.transpose(0, 2, 1)) * scale
-        w = variant_weights(z, mask, cfg.kind, cfg.eps)
-        att = w @ v
+        att, attn = attention_forward(AttentionInput(
+            q, k, v, kind=cfg.kind, rope=cfg.rope, rope_base=cfg.rope_base, eps=cfg.eps))
         o = att @ params[pre + "wo"]
         x_mid = x + o
         m_in, ln2_ctx = _layer_norm(x_mid, params[pre + "ln2.g"], params[pre + "ln2.b"])
@@ -227,8 +218,8 @@ def forward_loss(params: dict, inputs: np.ndarray, targets: np.ndarray,
         h, phi = _gelu(h_pre)
         mlp = h @ params[pre + "w2"]
         layers.append({
-            "a": a, "ln1": ln1_ctx, "q_rot": q_rot, "k_rot": k_rot, "v": v,
-            "z": z, "w": w, "att": att, "x_mid": x_mid, "ln2": ln2_ctx,
+            "a": a, "ln1": ln1_ctx, "attn": attn, "z": attn.scores, "w": attn.weights,
+            "att": att, "x_mid": x_mid, "ln2": ln2_ctx,
             "m_in": m_in, "h_pre": h_pre, "h": h, "phi": phi,
         })
         x = x_mid + mlp
@@ -245,8 +236,8 @@ def forward_loss(params: dict, inputs: np.ndarray, targets: np.ndarray,
     loss = float(-log_probs[rows, cols, targets].mean())
 
     cache = {
-        "cfg": cfg, "inputs": inputs, "targets": targets, "mask": mask,
-        "scale": scale, "layers": layers, "hf": hf, "lnf": lnf_ctx,
+        "cfg": cfg, "inputs": inputs, "targets": targets, "mask": causal_mask(t),
+        "layers": layers, "hf": hf, "lnf": lnf_ctx,
         "probs": exp / norm, "params": params,
     }
     return loss, cache
@@ -291,16 +282,8 @@ def backward(cache: dict) -> dict[str, np.ndarray]:
         # x_mid = x + attention(ln1(x)) @ wo
         datt = dx_mid @ params[pre + "wo"].T
         grads[pre + "wo"] = np.einsum("btd,bte->de", ctx["att"], dx_mid)
-        dw = datt @ ctx["v"].transpose(0, 2, 1)
-        dv = ctx["w"].transpose(0, 2, 1) @ datt
-        dz = variant_weight_vjp(ctx["z"], cache["mask"], dw, cfg.kind, cfg.eps)
-        dq_rot = (dz @ ctx["k_rot"]) * cache["scale"]
-        dk_rot = (dz.transpose(0, 2, 1) @ ctx["q_rot"]) * cache["scale"]
-        if cfg.rope:
-            dq = rope_rotate_back(dq_rot, cfg.rope_base)
-            dk = rope_rotate_back(dk_rot, cfg.rope_base)
-        else:
-            dq, dk = dq_rot, dk_rot
+        g = attention_backward(ctx["attn"], datt)
+        dq, dk, dv = g.dq, g.dk, g.dv
         da = dq @ params[pre + "wq"].T + dk @ params[pre + "wk"].T + dv @ params[pre + "wv"].T
         a = ctx["a"]
         grads[pre + "wq"] = np.einsum("btd,bte->de", a, dq)
@@ -476,19 +459,28 @@ def save_checkpoint(path: str | Path, params: dict, cfg: TrainConfig,
 def load_checkpoint(path: str | Path) -> tuple[dict, TrainConfig, Vocabulary]:
     raw = Path(path).read_bytes()
     if raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path} is not a checkpoint (bad magic header)")
+        raise CheckpointError(f"{path} is not a checkpoint (bad magic header)")
     off = len(CHECKPOINT_MAGIC)
+    if len(raw) < off + 8:
+        raise CheckpointError(f"{path} is truncated inside its header")
     (payload_len,) = struct.unpack("<Q", raw[off:off + 8])
     off += 8
-    manifest = json.loads(raw[off:off + payload_len].decode("utf-8"))
+    try:
+        manifest = json.loads(raw[off:off + payload_len].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise CheckpointError(f"{path} has an undecodable manifest: {exc}") from None
     off += payload_len
     params: dict[str, np.ndarray] = {}
     for entry in manifest["params"]:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
+        if len(raw) < off + count * 8:
+            raise CheckpointError(f"{path} is truncated inside parameter {entry['name']!r}")
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(shape)
         params[entry["name"]] = arr.astype(np.float64)
         off += count * 8
+    if off != len(raw):
+        raise CheckpointError(f"{path} has {len(raw) - off} trailing bytes")
     cfg = TrainConfig(
         corpus_path="",
         kind=VariantKind.from_string(manifest["kind"]),

@@ -32,7 +32,7 @@ KIND_NAMES = {
 
 class TestScaledScores:
     def test_identity_projections(self):
-        z = scaled_scores(np.eye(2), np.eye(2), d_k=2)
+        z = scaled_scores(np.eye(2), np.eye(2))
         np.testing.assert_allclose(z, np.eye(2) / np.sqrt(2), atol=1e-15)
 
     def test_zero_queries_pass_bias_through(self):
@@ -43,7 +43,7 @@ class TestScaledScores:
         np.testing.assert_array_equal(z0, np.zeros((2, 2)))
 
     def test_single_dot_product(self):
-        z = scaled_scores(np.array([[1.0, 0.0]]), np.array([[3.0, 4.0]]), d_k=2)
+        z = scaled_scores(np.array([[1.0, 0.0]]), np.array([[3.0, 4.0]]))
         assert abs(z[0, 0] - 2.1213203435596424) <= 1e-12  # 3/sqrt(2)
 
     def test_shape_mismatch(self):
@@ -109,6 +109,16 @@ class TestForward:
             expected = reference_attention(q, k, v, KIND_NAMES[kind])
             np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
+        # a (B, T, d) stack: every slice matches its own 2-D call and the reference
+        q, k, v = rng.normal(0, 1.5, size=(3, 4, 9, 6))
+        out, cache = attention_forward(AttentionInput(q, k, v, kind=kind))
+        assert out.shape == (4, 9, 6) and cache.weights.shape == (4, 9, 9)
+        for b in range(4):
+            single, _ = attention_forward(AttentionInput(q[b], k[b], v[b], kind=kind))
+            np.testing.assert_allclose(out[b], single, rtol=0, atol=1e-14)
+            expected = reference_attention(q[b], k[b], v[b], KIND_NAMES[kind])
+            np.testing.assert_allclose(out[b], expected, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_causality_exact(self, kind):
         rng = np.random.default_rng(5)
@@ -142,6 +152,14 @@ class TestForward:
         with pytest.raises(ShapeMismatch):
             attention_forward(AttentionInput(np.zeros((2, 2)), np.zeros((2, 2)),
                                              np.zeros((3, 2))))
+        with pytest.raises(ShapeMismatch):
+            attention_forward(AttentionInput(np.zeros(2), np.zeros(2), np.zeros(2)))
+
+    def test_batched_bias_shape_mismatch(self):
+        q = np.zeros((2, 3, 4))
+        for bad in (np.zeros((3, 3)), np.zeros((2, 3, 4)), np.zeros((3, 3, 3))):
+            with pytest.raises(ShapeMismatch):
+                attention_forward(AttentionInput(q, q, q, bias=bad))
 
 
 def loss_and_grads(q, k, v, kind, bias=None, rope=False):
@@ -150,6 +168,24 @@ def loss_and_grads(q, k, v, kind, bias=None, rope=False):
     out, cache = attention_forward(inp)
     grads = attention_backward(cache, 2.0 * out)
     return float(np.sum(out * out)), grads
+
+
+def slice_loss_and_grads(q, k, v, kind, b, rope=False):
+    """Probe loss L = sum(out[b]^2) of one slice of a batched layer and its
+    analytic input gradients for the whole stack."""
+    out, cache = attention_forward(AttentionInput(q, k, v, kind=kind, rope=rope))
+    d_out = np.zeros_like(out)
+    d_out[b] = 2.0 * out[b]
+    return float(np.sum(out[b] * out[b])), attention_backward(cache, d_out)
+
+
+def near_tie(scores, kind, margin=1e-4):
+    """True if an FD step on a (T, T) logit matrix could cross an extrema tie
+    (or, for v4, flip a clamp branch)."""
+    live = [scores[i, : i + 1] for i in range(scores.shape[0])]
+    if min(np.diff(np.sort(row)).min(initial=np.inf) for row in live) < margin:
+        return True
+    return kind is VariantKind.V4 and min(np.abs(row).min() for row in live) < margin
 
 
 def fd_input_grad(f, x, h=1e-6):
@@ -192,7 +228,8 @@ class TestBackward:
         with pytest.raises(CacheMismatch):
             attention_backward(cache, np.zeros((4, 2)))
 
-    # 10 instances x 5 kinds x 2 rope settings = 100 tie-free random layers
+    # 10 instances x 5 kinds x 2 rope settings = 100 tie-free random layers,
+    # plus one tie-free (B, T, d) stack per (kind, rope)
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("rope", [False, True])
     def test_layer_gradcheck(self, kind, rope):
@@ -202,12 +239,7 @@ class TestBackward:
             t, d = 3, 2
             q, k, v = rng.normal(0, 1.2, size=(3, t, d))
             _, cache = attention_forward(AttentionInput(q, k, v, kind=kind, rope=rope))
-            # skip draws where an FD step could cross an extrema tie
-            gaps = [np.diff(np.sort(cache.scores[i, : i + 1])).min(initial=np.inf)
-                    for i in range(t)]
-            extrema_near_zero = any(
-                abs(cache.scores[i, : i + 1]).min() < 1e-4 for i in range(t))
-            if min(gaps) < 1e-4 or (kind is VariantKind.V4 and extrema_near_zero):
+            if near_tie(cache.scores, kind):
                 continue
             checked += 1
             _, grads = loss_and_grads(q, k, v, kind, rope=rope)
@@ -215,6 +247,25 @@ class TestBackward:
                 fd = fd_input_grad(lambda: loss_and_grads(q, k, v, kind, rope=rope)[0], arr)
                 denom = np.maximum(np.maximum(np.abs(got), np.abs(fd)), 1e-3)
                 assert (np.abs(got - fd) / denom).max() < 1e-6
+
+        while True:
+            q, k, v = rng.normal(0, 1.2, size=(3, 2, 3, 2))
+            _, cache = attention_forward(AttentionInput(q, k, v, kind=kind, rope=rope))
+            if not any(near_tie(s, kind) for s in cache.scores):
+                break
+        for b in range(2):
+            _, grads = slice_loss_and_grads(q, k, v, kind, b, rope=rope)
+            _, single = loss_and_grads(q[b], k[b], v[b], kind, rope=rope)
+            for arr, got, ref in ((q, grads.dq, single.dq), (k, grads.dk, single.dk),
+                                  (v, grads.dv, single.dv)):
+                np.testing.assert_allclose(got[b], ref, rtol=0, atol=1e-14)
+                assert np.all(got[1 - b] == 0.0)
+                # norm-wise: the probe loss of a slice can reach ~100, and
+                # central-difference round-off grows with it
+                fd = fd_input_grad(
+                    lambda: slice_loss_and_grads(q, k, v, kind, b, rope=rope)[0], arr[b])
+                scale = max(np.abs(got[b]).max(), np.abs(fd).max(), 1e-3)
+                assert np.abs(got[b] - fd).max() / scale < 1e-6
 
     def test_bias_gradient(self):
         rng = np.random.default_rng(101)

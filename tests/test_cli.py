@@ -122,6 +122,23 @@ class TestEvalCommand:
                    "--text", str(text), "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["eval", "dump"])
+    def test_corrupt_checkpoint_exits_1(self, trained_dir, tmp_path, capsys, command):
+        whole = (trained_dir / "checkpoint.bin").read_bytes()
+        text = tmp_path / "t.txt"
+        text.write_text("the river and the stone and the light.\n" * 3)
+        source = ["--text", str(text)] if command == "eval" else ["--prompt", "the"]
+        for i, blob in enumerate((b"NOTACKPT" + whole[8:], whole[:700], whole[:-16],
+                                  whole + b"\0")):
+            bad = tmp_path / f"bad{i}.bin"
+            bad.write_bytes(blob)
+            capsys.readouterr()
+            rc = main([command, "--checkpoint", str(bad), *source,
+                       "--out", str(tmp_path / f"o{i}")])
+            err = capsys.readouterr().err
+            assert rc == 1
+            assert err.startswith("error: CheckpointError: ") and err.count("\n") == 1
+
 
 class TestDumpCommand:
     def test_singleton_first_row(self, trained_dir, tmp_path):

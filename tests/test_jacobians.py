@@ -135,6 +135,13 @@ class TestFiniteDifferenceOracle:
         assert is_tie_row(LogitRow([1e-6, 3.0], 2), VariantKind.V4)
         assert not is_tie_row(LogitRow([1e-6, 3.0], 2), VariantKind.V3)
 
+    def test_rejects_nonpositive_step_and_eps(self):
+        z = LogitRow([1.0, 2.0], 2)
+        with pytest.raises(ValueError):
+            fd_jacobian(z, VariantKind.V3, h=0.0)
+        with pytest.raises(ValueError):
+            fd_jacobian(z, VariantKind.V3, eps=0.0)
+
     def test_only_live_columns_perturbed(self):
         z = LogitRow([0.5, -0.5, 9.0], 2)
         f = fd_jacobian(z, VariantKind.V2).entries

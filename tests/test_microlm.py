@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sasoftmax import (
+    CheckpointError,
     CorpusTooSmall,
     NonFiniteGradient,
     ShapeMismatch,
@@ -12,6 +13,7 @@ from sasoftmax import (
     TrainConfig,
     UnknownSymbol,
     VariantKind,
+    Vocabulary,
     adam_step,
     attention_maps,
     backward,
@@ -284,6 +286,31 @@ class TestCheckpoint:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTACKPT" + b"\0" * 32)
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    def test_every_truncation_rejected(self, tmp_path):
+        cfg = TrainConfig(corpus_path="", layers=1, d_model=2)
+        vocab = Vocabulary(byte_values=(97, 98, 99))
+        params = init_params(cfg, vocab.size, np.random.default_rng(0))
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, params, cfg, vocab)
+        whole = path.read_bytes()
+        cut = tmp_path / "cut.bin"
+        for n in range(len(whole)):
+            cut.write_bytes(whole[:n])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(cut)
+        cut.write_bytes(whole + b"\0" * 8)
+        with pytest.raises(CheckpointError, match="8 trailing bytes"):
+            load_checkpoint(cut)
+        cut.write_bytes(whole)
+        loaded, _, _ = load_checkpoint(cut)
+        assert all(np.array_equal(loaded[n], params[n]) for n in params)
+
+    def test_undecodable_manifest_rejected(self, tmp_path):
+        path = tmp_path / "junk.bin"
+        path.write_bytes(b"SAXLM001" + (4).to_bytes(8, "little") + b"\xff{}]")
+        with pytest.raises(CheckpointError, match="manifest"):
             load_checkpoint(path)
 
     def test_save_is_deterministic(self, corpus_path, tmp_path):
