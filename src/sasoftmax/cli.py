@@ -66,7 +66,8 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 
 # Per-subcommand schema: name -> (python type, default). The JSON config file
-# may set any of these; explicit CLI flags override it.
+# may set any of these; explicit CLI flags override it. A None default marks
+# a required option.
 SCHEMAS: dict[str, dict[str, tuple[type, object]]] = {
     "gradcheck": {
         "samples": (int, 1000),
@@ -117,15 +118,6 @@ SCHEMAS: dict[str, dict[str, tuple[type, object]]] = {
     },
 }
 
-REQUIRED = {
-    "gradcheck": ("out",),
-    "sweep": ("out",),
-    "train": ("out",),
-    "eval": ("checkpoint", "text", "out"),
-    "dump": ("checkpoint", "prompt", "out"),
-}
-
-
 def _load_file_config(path: str, schema: dict) -> dict:
     p = Path(path)
     if not p.is_file():
@@ -159,7 +151,7 @@ def effective_config(command: str, args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    missing = [key for key in REQUIRED[command] if merged.get(key) is None]
+    missing = [key for key in schema if merged[key] is None]
     if missing:
         raise ConfigError(f"missing required option(s): {', '.join('--' + m for m in missing)}")
     return merged

@@ -1,16 +1,21 @@
 """Analytic Jacobians of the scoring variants and a finite-difference harness.
 
-For a live row z with s = softmax(z), c = scaler(z) and weights w = c * s,
-the Jacobian entry J[j][k] = dw_j/dz_k splits into
+For a live row z with s = softmax(z), scaler c = (z - lo) / d and weights
+w = c * s, the Jacobian entry J[j][k] = dw_j/dz_k splits into
 
     J[j][k] = dc[j][k] * s_j  +  c_j * s_j * (1[j=k] - s_k)
 
-where the first term routes gradient through the scaler (including its
-min/max extrema, whose subgradient goes to the lowest tied index) and the
-second is the usual softmax Jacobian weighted by the scaler. The v4 clamp
-branches min(x_min, 0) / max(x_max, 0) contribute gradient only while they
-are strictly active (x_min < 0, x_max > 0); at the boundary the constant
-branch owns the derivative.
+where the second term is the usual softmax Jacobian weighted by the scaler
+and the first routes gradient through the scaler:
+
+    dc[j][k] = (1[j=k] - dlo/dz_k) / d  -  c_j / d * dd/dz_k
+
+lo and d follow at most the row's min and max, so dlo/dz and dd/dz are
+nonzero only at the argmin/argmax (the lowest tied index). Their values per
+kind, the gates, come from variants._scaler, which both the batched VJP and
+the closed form read. The v4 clamps min(x_min, 0) / max(x_max, 0) pass
+gradient only while strictly active (x_min < 0, x_max > 0); at the boundary
+the constant branch owns the derivative.
 """
 
 from __future__ import annotations
@@ -28,9 +33,8 @@ from .variants import (
     ScoreRow,
     VariantKind,
     _checked_values,
-    masked_extrema,
+    _scaler,
     masked_softmax,
-    variant_scaler,
     variant_weights,
 )
 
@@ -69,58 +73,38 @@ class GradCheckReport:
     skipped_tie: bool
 
 
+def _sub_at(a: np.ndarray, idx: np.ndarray, v: np.ndarray) -> None:
+    """a[..., idx] -= v in place along the last axis, for any memory layout.
+
+    idx has a's shape with a last axis of length 1; v broadcasts to it.
+    """
+    np.put_along_axis(a, idx, np.take_along_axis(a, idx, axis=-1) - v, axis=-1)
+
+
 def _jacobian_full_rows(z: np.ndarray, kind: VariantKind, eps: float) -> np.ndarray:
     """Batched closed-form Jacobians for fully live rows. z: (N, T) -> (N, T, T)."""
     z = np.asarray(z, dtype=np.float64)
-    n, t = z.shape
     mask = np.ones_like(z, dtype=bool)
     s = masked_softmax(z, mask)
-    c = variant_scaler(z, mask, kind, eps)
-    cs = c * s
+    sc = None if kind is VariantKind.BASELINE else _scaler(z, mask, kind, eps)
+    cs = s if sc is None else sc.u / sc.d * s
 
     # Scaler-weighted softmax part: diag(c*s) - outer(c*s, s).
     jac = -cs[:, :, np.newaxis] * s[:, np.newaxis, :]
-    diag = np.arange(t)
+    diag = np.arange(z.shape[1])
     jac[:, diag, diag] += cs
-
-    if kind is VariantKind.BASELINE:
+    if sc is None:
         return jac
 
-    # Scaler part dc[j][k] * s_j. All variants contribute the identity term;
-    # v2-v4 add extrema columns, v3/v4 add the denominator's quotient-rule term.
-    rows = np.arange(n)[:, np.newaxis]
-    cols = np.arange(t)[np.newaxis, :]
-    mn, mx, amin, amax = masked_extrema(z, mask)
-
-    if kind is VariantKind.V1:
-        jac[:, diag, diag] += s
-        return jac
-
-    if kind is VariantKind.V2:
-        jac[:, diag, diag] += s
-        jac[rows, cols, amin[:, np.newaxis]] -= s
-        return jac
-
-    if kind is VariantKind.V3:
-        u = z - mn[:, np.newaxis]
-        d = (mx - mn + eps)[:, np.newaxis]
-        gate_min = np.ones(n)
-        gate_max = np.ones(n)
-    elif kind is VariantKind.V4:
-        lo = np.minimum(mn, 0.0)
-        hi = np.maximum(mx, 0.0)
-        u = z - lo[:, np.newaxis]
-        d = (hi - lo + eps)[:, np.newaxis]
-        gate_min = (mn < 0.0).astype(np.float64)
-        gate_max = (mx > 0.0).astype(np.float64)
-    else:
-        raise ValueError(f"unhandled kind {kind}")
-
-    jac[:, diag, diag] += s / d
-    jac[rows, cols, amin[:, np.newaxis]] -= gate_min[:, np.newaxis] * s / d
-    quot = u * s / (d * d)
-    jac[rows, cols, amax[:, np.newaxis]] -= gate_max[:, np.newaxis] * quot
-    jac[rows, cols, amin[:, np.newaxis]] += gate_min[:, np.newaxis] * quot
+    # Scaler part dc[j][k] * s_j with c = (z - lo) / d: the identity term,
+    # then the lo and d gates in the argmin/argmax columns of each row.
+    jac[:, diag, diag] += s / sc.d
+    if sc.lo_at_min is not None:
+        _sub_at(jac, sc.amin[:, np.newaxis], (sc.lo_at_min * s / sc.d)[..., np.newaxis])
+    if sc.d_at_max is not None:
+        quot = sc.u * s / (sc.d * sc.d)
+        _sub_at(jac, sc.amax[:, np.newaxis], (sc.d_at_max * quot)[..., np.newaxis])
+        _sub_at(jac, sc.amin[:, np.newaxis], (sc.d_at_min * quot)[..., np.newaxis])
     return jac
 
 
@@ -277,52 +261,22 @@ def variant_weight_vjp(scores: np.ndarray, mask: np.ndarray, grad_w: np.ndarray,
     """
     scores = np.asarray(scores, dtype=np.float64)
     s = masked_softmax(scores, mask)
-    c = variant_scaler(scores, mask, kind, eps)
-    w = c * s
     g = np.where(mask, grad_w, 0.0)
-
-    # Softmax part: s_k * (g_k c_k - sum_j g_j w_j).
-    gw_sum = np.sum(g * w, axis=-1, keepdims=True)
-    dz = g * w - s * gw_sum
-    if kind is VariantKind.BASELINE:
-        return np.where(mask, dz, 0.0)
-
     gs = g * s
-    if kind is VariantKind.V1:
-        return np.where(mask, dz + gs, 0.0)
+    if kind is VariantKind.BASELINE:
+        return np.where(mask, gs - s * np.sum(gs, axis=-1, keepdims=True), 0.0)
 
-    mn, mx, amin, amax = masked_extrema(scores, mask)
-    gs_sum = np.sum(gs, axis=-1)
-
-    flat_dz = dz.reshape(-1, scores.shape[-1])
-    flat_gs = gs.reshape(-1, scores.shape[-1])
-    flat_amin = amin.reshape(-1)
-    flat_amax = amax.reshape(-1)
-    idx = np.arange(flat_dz.shape[0])
-
-    if kind is VariantKind.V2:
-        flat_dz += flat_gs
-        flat_dz[idx, flat_amin] -= gs_sum.reshape(-1)
-        return np.where(mask, flat_dz.reshape(scores.shape), 0.0)
-
-    if kind is VariantKind.V3:
-        d = mx - mn + eps
-        gate_min = np.ones_like(d)
-        gate_max = np.ones_like(d)
-    elif kind is VariantKind.V4:
-        lo = np.minimum(mn, 0.0)
-        hi = np.maximum(mx, 0.0)
-        d = hi - lo + eps
-        gate_min = (mn < 0.0).astype(np.float64)
-        gate_max = (mx > 0.0).astype(np.float64)
-    else:
-        raise ValueError(f"unhandled kind {kind}")
-
-    flat_d = d.reshape(-1)
-    flat_dz += flat_gs / flat_d[:, np.newaxis]
-    flat_dz[idx, flat_amin] -= gate_min.reshape(-1) * gs_sum.reshape(-1) / flat_d
-    # Denominator quotient-rule term: sum_j g_j s_j u_j / D^2 = gw_sum / D.
-    quot = gw_sum.reshape(-1) / flat_d
-    flat_dz[idx, flat_amax] -= gate_max.reshape(-1) * quot
-    flat_dz[idx, flat_amin] += gate_min.reshape(-1) * quot
-    return np.where(mask, flat_dz.reshape(scores.shape), 0.0)
+    # Softmax part s_k * (g_k c_k - sum_j g_j w_j), then the scaler's
+    # identity term and its lo and d gates.
+    sc = _scaler(scores, mask, kind, eps)
+    gw = g * (sc.u / sc.d * s)
+    gw_sum = np.sum(gw, axis=-1, keepdims=True)
+    dz = gw - s * gw_sum + gs / sc.d
+    if sc.lo_at_min is not None:
+        _sub_at(dz, sc.amin, sc.lo_at_min * np.sum(gs, axis=-1, keepdims=True) / sc.d)
+    if sc.d_at_max is not None:
+        # sum_j g_j s_j u_j / d^2 = gw_sum / d
+        quot = gw_sum / sc.d
+        _sub_at(dz, sc.amax, sc.d_at_max * quot)
+        _sub_at(dz, sc.amin, sc.d_at_min * quot)
+    return np.where(mask, dz, 0.0)

@@ -10,6 +10,7 @@ given (seed, config, corpus).
 from __future__ import annotations
 
 import json
+import math
 import struct
 import time
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erf
 
-from .attention import AttentionInput, attention_backward, attention_forward, causal_mask
+from .attention import AttentionInput, attention_backward, attention_forward
 from .errors import (
     CacheMismatch,
     CheckpointError,
@@ -130,23 +131,25 @@ def param_names(cfg: TrainConfig) -> list[str]:
     return names
 
 
+def _param_shapes(cfg: TrainConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
+    """Shape of every parameter, in param_names order."""
+    d = cfg.d_model
+    matrices = {"wq": (d, d), "wk": (d, d), "wv": (d, d), "wo": (d, d),
+                "w1": (d, 4 * d), "w2": (4 * d, d)}
+    shapes = {"embed": (vocab_size, d)}
+    for name in param_names(cfg)[1:]:
+        shapes[name] = matrices.get(name.split(".", 1)[1], (d,))
+    return shapes
+
+
 def init_params(cfg: TrainConfig, vocab_size: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Normal(0, init_std) weights, unit layer-norm gains, zero biases."""
-    d = cfg.d_model
-    std = cfg.init_std
-    params: dict[str, np.ndarray] = {"embed": rng.normal(0.0, std, (vocab_size, d))}
-    for i in range(cfg.layers):
-        pre = f"h{i}."
-        params[pre + "ln1.g"] = np.ones(d)
-        params[pre + "ln1.b"] = np.zeros(d)
-        for w in ("wq", "wk", "wv", "wo"):
-            params[pre + w] = rng.normal(0.0, std, (d, d))
-        params[pre + "ln2.g"] = np.ones(d)
-        params[pre + "ln2.b"] = np.zeros(d)
-        params[pre + "w1"] = rng.normal(0.0, std, (d, 4 * d))
-        params[pre + "w2"] = rng.normal(0.0, std, (4 * d, d))
-    params["lnf.g"] = np.ones(d)
-    params["lnf.b"] = np.zeros(d)
+    params: dict[str, np.ndarray] = {}
+    for name, shape in _param_shapes(cfg, vocab_size).items():
+        if len(shape) == 2:
+            params[name] = rng.normal(0.0, cfg.init_std, shape)
+        else:
+            params[name] = np.ones(shape) if name.endswith(".g") else np.zeros(shape)
     return params
 
 
@@ -218,8 +221,8 @@ def forward_loss(params: dict, inputs: np.ndarray, targets: np.ndarray,
         h, phi = _gelu(h_pre)
         mlp = h @ params[pre + "w2"]
         layers.append({
-            "a": a, "ln1": ln1_ctx, "attn": attn, "z": attn.scores, "w": attn.weights,
-            "att": att, "x_mid": x_mid, "ln2": ln2_ctx,
+            "a": a, "ln1": ln1_ctx, "attn": attn, "z": attn.scores,
+            "att": att, "ln2": ln2_ctx,
             "m_in": m_in, "h_pre": h_pre, "h": h, "phi": phi,
         })
         x = x_mid + mlp
@@ -236,7 +239,7 @@ def forward_loss(params: dict, inputs: np.ndarray, targets: np.ndarray,
     loss = float(-log_probs[rows, cols, targets].mean())
 
     cache = {
-        "cfg": cfg, "inputs": inputs, "targets": targets, "mask": causal_mask(t),
+        "cfg": cfg, "inputs": inputs, "targets": targets, "mask": layers[0]["attn"].mask,
         "layers": layers, "hf": hf, "lnf": lnf_ctx,
         "probs": exp / norm, "params": params,
     }
@@ -416,7 +419,7 @@ def attention_maps(params: dict, cfg: TrainConfig, vocab: Vocabulary,
         raise TextTooShort("prompt must contain at least one byte")
     inputs = ids[np.newaxis, :]
     _, cache = forward_loss(params, inputs, np.zeros_like(inputs), cfg)
-    return [layer["w"][0] for layer in cache["layers"]]
+    return [layer["attn"].weights[0] for layer in cache["layers"]]
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +459,67 @@ def save_checkpoint(path: str | Path, params: dict, cfg: TrainConfig,
     tmp.replace(path)
 
 
+# Manifest key -> JSON type; a float key also takes an int, and bool is
+# accepted only where it is meant.
+_MANIFEST_TYPES = {
+    "format_version": int, "kind": str, "layers": int, "d_model": int, "seq_len": int,
+    "rope": bool, "rope_base": float, "eps": float, "vocab": list, "params": list,
+}
+
+
+def _is_json(value, want: type) -> bool:
+    if isinstance(value, bool):
+        return want is bool
+    return isinstance(value, (int, float) if want is float else want)
+
+
+def _read_manifest(manifest, path) -> tuple[TrainConfig, Vocabulary, dict[str, tuple[int, ...]]]:
+    """Config, vocabulary and parameter shapes of a decoded manifest.
+
+    Raises CheckpointError unless every key is present with its type, the
+    config is valid, and the parameter list is exactly the one init_params
+    makes for that config.
+    """
+    def bad(why: str) -> CheckpointError:
+        return CheckpointError(f"{path} has a bad manifest: {why}")
+
+    if not isinstance(manifest, dict):
+        raise bad("not a JSON object")
+    for key, want in _MANIFEST_TYPES.items():
+        if key not in manifest:
+            raise bad(f"no {key!r}")
+        if not _is_json(manifest[key], want):
+            raise bad(f"{key!r} must be {want.__name__}")
+    if manifest["format_version"] != 1:
+        raise bad(f"format_version {manifest['format_version']} is not 1")
+    try:
+        cfg = TrainConfig(
+            corpus_path="",
+            kind=VariantKind.from_string(manifest["kind"]),
+            layers=manifest["layers"],
+            d_model=manifest["d_model"],
+            seq_len=manifest["seq_len"],
+            rope=manifest["rope"],
+            rope_base=manifest["rope_base"],
+            eps=manifest["eps"],
+        )
+    except ValueError as exc:
+        raise bad(str(exc)) from None
+    if not all(_is_json(b, int) and 0 <= b <= 255 for b in manifest["vocab"]):
+        raise bad("vocab entries must be byte values 0-255")
+    vocab = Vocabulary(byte_values=tuple(manifest["vocab"]))
+    entries = manifest["params"]
+    # every layer has parameters, so this bounds the expected list's size
+    if cfg.layers > len(entries):
+        raise bad(f"{len(entries)} parameters cannot hold {cfg.layers} layers")
+    shapes = _param_shapes(cfg, vocab.size)
+    expected = [{"name": name, "shape": list(shape)} for name, shape in shapes.items()]
+    # == also equates 8.0 and True with 8 and 1, hence the type test
+    if entries != expected or any(type(n) is not int for e in entries for n in e["shape"]):
+        raise bad("parameter names or shapes do not match the config")
+    return cfg, vocab, shapes
+
+
 def load_checkpoint(path: str | Path) -> tuple[dict, TrainConfig, Vocabulary]:
     raw = Path(path).read_bytes()
     if raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -470,26 +534,15 @@ def load_checkpoint(path: str | Path) -> tuple[dict, TrainConfig, Vocabulary]:
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
         raise CheckpointError(f"{path} has an undecodable manifest: {exc}") from None
     off += payload_len
+    cfg, vocab, shapes = _read_manifest(manifest, path)
     params: dict[str, np.ndarray] = {}
-    for entry in manifest["params"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+    for name, shape in shapes.items():
+        count = math.prod(shape)
         if len(raw) < off + count * 8:
-            raise CheckpointError(f"{path} is truncated inside parameter {entry['name']!r}")
+            raise CheckpointError(f"{path} is truncated inside parameter {name!r}")
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(shape)
-        params[entry["name"]] = arr.astype(np.float64)
+        params[name] = arr.astype(np.float64)
         off += count * 8
     if off != len(raw):
         raise CheckpointError(f"{path} has {len(raw) - off} trailing bytes")
-    cfg = TrainConfig(
-        corpus_path="",
-        kind=VariantKind.from_string(manifest["kind"]),
-        layers=manifest["layers"],
-        d_model=manifest["d_model"],
-        seq_len=manifest["seq_len"],
-        rope=manifest["rope"],
-        rope_base=manifest["rope_base"],
-        eps=manifest["eps"],
-    )
-    vocab = Vocabulary(byte_values=tuple(manifest["vocab"]))
     return params, cfg, vocab

@@ -1,14 +1,14 @@
 """Row-wise scoring kernels: softmax and its self-adjusting variants.
 
-Each variant multiplies the softmax output elementwise by a scaler built
-from the same logits:
+Each self-adjusting variant multiplies the softmax output elementwise by a
+scaler (x - lo) / d built from the same logits; the kinds differ only in the
+per-row lo and d:
 
     baseline:  softmax(x)
-    v1:        x * softmax(x)
-    v2:        (x - x_min) * softmax(x)
-    v3:        (x - x_min) / (x_max - x_min + eps) * softmax(x)
-    v4:        (x - min(x_min, 0)) / (max(x_max, 0) - min(x_min, 0) + eps)
-                 * softmax(x)
+    v1:        lo = 0,              d = 1
+    v2:        lo = x_min,          d = 1
+    v3:        lo = x_min,          d = x_max - x_min + eps
+    v4:        lo = min(x_min, 0),  d = max(x_max, 0) - lo + eps
 
 Extrema are taken over the unmasked (causal) entries only, ties resolve to
 the lowest index, and masked positions are forced to exactly 0 in every
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,6 +129,46 @@ def masked_extrema(scores: np.ndarray, mask: np.ndarray):
     )
 
 
+class _Scaler(NamedTuple):
+    """A self-adjusting scaler c = u / d with u = x - lo, and its derivative.
+
+    ``u`` has the shape of the scores and is 0 on masked entries. Everything
+    else is per row, with a trailing axis of length 1; ``d`` is the float 1.0
+    where it is constant. lo and d follow at most the row's live min and max,
+    so their gradients are three gates: dlo/dx[amin], dd/dx[amin] and
+    dd/dx[amax]. A gate is None where lo (or d) is constant.
+    """
+
+    u: np.ndarray
+    d: np.ndarray | float
+    amin: np.ndarray | None = None
+    amax: np.ndarray | None = None
+    lo_at_min: np.ndarray | None = None
+    d_at_min: np.ndarray | None = None
+    d_at_max: np.ndarray | None = None
+
+
+def _scaler(scores: np.ndarray, mask: np.ndarray, kind: VariantKind, eps: float) -> _Scaler:
+    """lo, d and their gates for v1-v4; the one place the kinds differ."""
+    if kind is VariantKind.V1:
+        return _Scaler(np.where(mask, scores, 0.0), 1.0)
+    mn, mx, amin, amax = (a[..., np.newaxis] for a in masked_extrema(scores, mask))
+    ones = np.ones_like(mn)
+    if kind is VariantKind.V2:
+        return _Scaler(np.where(mask, scores - mn, 0.0), 1.0, amin, amax, ones)
+    if kind is VariantKind.V3:
+        lo, hi, lo_live, hi_live = mn, mx, ones, ones
+    elif kind is VariantKind.V4:
+        # the clamps own the derivative only while strictly active
+        lo, hi = np.minimum(mn, 0.0), np.maximum(mx, 0.0)
+        lo_live = (mn < 0.0).astype(np.float64)
+        hi_live = (mx > 0.0).astype(np.float64)
+    else:
+        raise ValueError(f"unhandled kind {kind}")
+    return _Scaler(np.where(mask, scores - lo, 0.0), hi - lo + eps, amin, amax,
+                   lo_live, -lo_live, hi_live)
+
+
 def variant_scaler(scores: np.ndarray, mask: np.ndarray, kind: VariantKind,
                    eps: float = DEFAULT_EPS) -> np.ndarray:
     """The self-adjusting multiplier applied to the softmax output.
@@ -136,33 +177,14 @@ def variant_scaler(scores: np.ndarray, mask: np.ndarray, kind: VariantKind,
     """
     if kind is VariantKind.BASELINE:
         return np.where(mask, 1.0, 0.0)
-    if kind is VariantKind.V1:
-        return np.where(mask, scores, 0.0)
-
-    mn, mx, _, _ = masked_extrema(scores, mask)
-    mn = mn[..., np.newaxis]
-    mx = mx[..., np.newaxis]
-    if kind is VariantKind.V2:
-        scaled = scores - mn
-    elif kind is VariantKind.V3:
-        scaled = (scores - mn) / (mx - mn + eps)
-    elif kind is VariantKind.V4:
-        lo = np.minimum(mn, 0.0)
-        hi = np.maximum(mx, 0.0)
-        scaled = (scores - lo) / (hi - lo + eps)
-    else:
-        raise ValueError(f"unhandled kind {kind}")
-    return np.where(mask, scaled, 0.0)
+    sc = _scaler(scores, mask, kind, eps)
+    return sc.u / sc.d
 
 
 def variant_weights(scores: np.ndarray, mask: np.ndarray, kind: VariantKind,
                     eps: float = DEFAULT_EPS) -> np.ndarray:
     """scaler(x) * softmax(x) on live entries, exact 0 on masked ones."""
-    probs = masked_softmax(scores, mask)
-    if kind is VariantKind.BASELINE:
-        return probs
-    w = variant_scaler(scores, mask, kind, eps) * probs
-    return np.where(mask, w, 0.0)
+    return variant_scaler(scores, mask, kind, eps) * masked_softmax(scores, mask)
 
 
 # ---------------------------------------------------------------------------

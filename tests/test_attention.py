@@ -1,6 +1,8 @@
 """Attention layer tests: forward values, oracle equivalence, causality,
 and the hand-written backward pass against finite differences."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -266,6 +268,23 @@ class TestBackward:
                     lambda: slice_loss_and_grads(q, k, v, kind, b, rope=rope)[0], arr[b])
                 scale = max(np.abs(got[b]).max(), np.abs(fd).max(), 1e-3)
                 assert np.abs(got[b] - fd).max() / scale < 1e-6
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_independent_of_memory_layout(self, kind):
+        rng = np.random.default_rng(103)
+        q, k, v = rng.normal(size=(3, 2, 5, 4))
+        d_out = rng.normal(size=(2, 5, 4))
+        _, cache = attention_forward(AttentionInput(q, k, v, kind=kind, rope=True))
+        want = attention_backward(cache, d_out)
+        column_major = (np.asfortranarray,
+                        lambda x: np.swapaxes(np.swapaxes(x, -1, -2).copy(), -1, -2))
+        for layout in column_major:
+            moved = dataclasses.replace(cache, **{
+                f: layout(getattr(cache, f))
+                for f in ("q_rot", "k_rot", "v", "scores", "weights", "mask")})
+            got = attention_backward(moved, layout(d_out))
+            for a, b in ((got.dq, want.dq), (got.dk, want.dk), (got.dv, want.dv)):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
     def test_bias_gradient(self):
         rng = np.random.default_rng(101)

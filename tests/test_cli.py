@@ -14,6 +14,43 @@ def read(path):
     return path.read_bytes()
 
 
+def with_manifest(whole, edit):
+    """A checkpoint blob with its manifest replaced by edit(manifest)."""
+    n = int.from_bytes(whole[8:16], "little")
+    payload = json.dumps(edit(json.loads(whole[16:16 + n]))).encode()
+    return whole[:8] + len(payload).to_bytes(8, "little") + payload + whole[16 + n:]
+
+
+def set_key(key, value):
+    return lambda m: {**m, key: value}
+
+
+def rename_first_param(m):
+    return {**m, "params": [{**m["params"][0], "name": "emb"}, *m["params"][1:]]}
+
+
+def reshape_wq(m):
+    # same element count, so the buffers still line up
+    return {**m, "params": [{**p, "shape": [4, 16]} if p["name"] == "h0.wq" else p
+                            for p in m["params"]]}
+
+
+MANIFEST_EDITS = (
+    lambda m: {},
+    lambda m: [],
+    lambda m: {k: v for k, v in m.items() if k != "kind"},
+    set_key("layers", "1"),
+    set_key("rope", 1),
+    set_key("format_version", 2),
+    set_key("kind", "v7"),
+    set_key("seq_len", 0),
+    set_key("layers", 10**12),
+    set_key("vocab", [97, 300]),
+    rename_first_param,
+    reshape_wq,
+)
+
+
 @pytest.fixture(scope="module")
 def trained_dir(tmp_path_factory):
     """A tiny trained checkpoint shared by the eval/dump tests."""
@@ -128,8 +165,10 @@ class TestEvalCommand:
         text = tmp_path / "t.txt"
         text.write_text("the river and the stone and the light.\n" * 3)
         source = ["--text", str(text)] if command == "eval" else ["--prompt", "the"]
-        for i, blob in enumerate((b"NOTACKPT" + whole[8:], whole[:700], whole[:-16],
-                                  whole + b"\0")):
+        blobs = [b"NOTACKPT" + whole[8:], whole[:700], whole[:-16], whole + b"\0",
+                 b"SAXLM001" + (2).to_bytes(8, "little") + b"{}"]
+        blobs += [with_manifest(whole, edit) for edit in MANIFEST_EDITS]
+        for i, blob in enumerate(blobs):
             bad = tmp_path / f"bad{i}.bin"
             bad.write_bytes(blob)
             capsys.readouterr()

@@ -12,6 +12,7 @@ from sasoftmax import (
     NotNormalized,
     ScoreRow,
     VariantKind,
+    apply_variant,
     causal_mask,
     fd_jacobian,
     gradcheck,
@@ -22,6 +23,11 @@ from sasoftmax import (
     variant_jacobian,
     variant_weight_vjp,
 )
+
+
+def transposed_strides(x):
+    """x's values in a view whose last two axes are stored column-major."""
+    return np.swapaxes(np.swapaxes(x, -1, -2).copy(), -1, -2)
 
 
 class TestSoftmaxJacobian:
@@ -135,6 +141,25 @@ class TestFiniteDifferenceOracle:
         assert is_tie_row(LogitRow([1e-6, 3.0], 2), VariantKind.V4)
         assert not is_tie_row(LogitRow([1e-6, 3.0], 2), VariantKind.V3)
 
+    @pytest.mark.parametrize("values, col, step", [
+        ([0.0, 1.0, 2.5], 0, 1e-7),    # x_min = 0: lo = min(x_min, 0) stays 0 for +h
+        ([-2.0, -1.0, 0.0], 2, -1e-7),  # x_max = 0: max(x_max, 0) stays 0 for -h
+    ])
+    def test_v4_clamp_boundary_takes_constant_branch(self, values, col, step):
+        # gradcheck skips these rows as ties; here the one-sided difference
+        # on the constant branch pins the strict x_min < 0 / x_max > 0 gates
+        z = LogitRow(values, 3)
+        jac = variant_jacobian(z, VariantKind.V4).entries
+        bumped = np.array(values)
+        bumped[col] += step
+        one_sided = (apply_variant(LogitRow(bumped, 3), VariantKind.V4).weights
+                     - apply_variant(z, VariantKind.V4).weights) / step
+        assert np.abs(jac[:, col] - one_sided).max() <= 1e-6 * np.abs(one_sided).max()
+        g = np.array([0.7, -1.3, 2.1])
+        dz = variant_weight_vjp(np.array([values]), np.ones((1, 3), dtype=bool),
+                                g[np.newaxis, :], VariantKind.V4)
+        np.testing.assert_allclose(dz[0], jac.T @ g, rtol=0, atol=1e-14)
+
     def test_rejects_nonpositive_step_and_eps(self):
         z = LogitRow([1.0, 2.0], 2)
         with pytest.raises(ValueError):
@@ -199,6 +224,18 @@ class TestWeightVjp:
                 block = variant_jacobian(LogitRow(scores[b, i], i + 1), kind).entries
                 g = np.where(np.arange(t) <= i, grad_w[b, i], 0.0)
                 np.testing.assert_allclose(dz[b, i], block.T @ g, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_independent_of_memory_layout(self, kind):
+        rng = np.random.default_rng(79)
+        t = 6
+        scores = rng.uniform(-4, 4, (3, t, t))
+        grad_w = rng.normal(size=(3, t, t))
+        mask = causal_mask(t)
+        want = variant_weight_vjp(scores, mask, grad_w, kind)
+        for layout in (np.asfortranarray, transposed_strides):
+            got = variant_weight_vjp(layout(scores), layout(mask), layout(grad_w), kind)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
     def test_masked_entries_zero(self):
         rng = np.random.default_rng(78)

@@ -96,6 +96,16 @@ class TestForwardLoss:
         b, _ = forward_loss(params, inputs, targets, cfg)
         assert a == b
 
+    def test_cache_keys_read_by_benchmark(self, corpus_path):
+        tokens, vocab = load_corpus(corpus_path)
+        cfg = tiny_config(corpus_path, layers=2)
+        rng = np.random.default_rng(0)
+        params = init_params(cfg, vocab.size, rng)
+        _, cache = forward_loss(params, *sample_windows(tokens, 4, 2, rng), cfg)
+        assert cache["mask"] is cache["layers"][0]["attn"].mask
+        for layer in cache["layers"]:
+            assert layer["z"] is layer["attn"].scores
+
     def test_shape_mismatch(self, corpus_path):
         _, vocab = load_corpus(corpus_path)
         cfg = tiny_config(corpus_path)
