@@ -57,8 +57,16 @@ class TrainConfig:
         for name in ("layers", "d_model", "seq_len", "batch"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.steps < 0:
-            raise ValueError(f"steps must be >= 0, got {self.steps}")
+        for name in ("steps", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        # written as `not ok` so that NaN fails too
+        for name in ("lr", "adam_eps", "eps", "rope_base"):
+            value = getattr(self, name)
+            if not (0.0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not (0.0 <= self.init_std < math.inf):
+            raise ValueError(f"init_std must be >= 0 and finite, got {self.init_std}")
         b1, b2 = self.adam_betas
         if not (0.0 < b1 < 1.0 and 0.0 < b2 < 1.0):
             raise ValueError(f"adam betas must lie in (0, 1), got {self.adam_betas}")
@@ -220,10 +228,11 @@ def forward_loss(params: dict, inputs: np.ndarray, targets: np.ndarray,
         h_pre = m_in @ params[pre + "w1"]
         h, phi = _gelu(h_pre)
         mlp = h @ params[pre + "w2"]
+        # h itself is not kept: backward rebuilds it as h_pre * phi
         layers.append({
             "a": a, "ln1": ln1_ctx, "attn": attn, "z": attn.scores,
             "att": att, "ln2": ln2_ctx,
-            "m_in": m_in, "h_pre": h_pre, "h": h, "phi": phi,
+            "m_in": m_in, "h_pre": h_pre, "phi": phi,
         })
         x = x_mid + mlp
 
@@ -246,6 +255,15 @@ def forward_loss(params: dict, inputs: np.ndarray, targets: np.ndarray,
     return loss, cache
 
 
+def _wgrad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Weight gradient of y = x @ w, summed over every leading axis.
+
+    Flattening the (B, T) axes makes it one 2-D matmul, which runs in BLAS;
+    the equivalent einsum over "btd,bte->de" does not.
+    """
+    return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
+
+
 def backward(cache: dict) -> dict[str, np.ndarray]:
     """Exact gradients of the mean cross-entropy for every parameter."""
     if "probs" not in cache:
@@ -255,7 +273,6 @@ def backward(cache: dict) -> dict[str, np.ndarray]:
     inputs = cache["inputs"]
     targets = cache["targets"]
     b, t = inputs.shape
-    d = cfg.d_model
 
     dlogits = cache["probs"].copy()
     rows = np.arange(b)[:, np.newaxis]
@@ -264,7 +281,6 @@ def backward(cache: dict) -> dict[str, np.ndarray]:
     dlogits /= b * t
 
     grads = {name: None for name in param_names(cfg)}
-    grads["embed"] = np.einsum("btv,btd->vd", dlogits, cache["hf"])
     dhf = dlogits @ params["embed"]
     dx, grads["lnf.g"], grads["lnf.b"] = _layer_norm_backward(dhf, params["lnf.g"], cache["lnf"])
 
@@ -274,29 +290,33 @@ def backward(cache: dict) -> dict[str, np.ndarray]:
 
         # x_out = x_mid + mlp(ln2(x_mid))
         dh = dx @ params[pre + "w2"].T
-        grads[pre + "w2"] = np.einsum("btk,btd->kd", ctx["h"], dx)
+        grads[pre + "w2"] = _wgrad(ctx["h_pre"] * ctx["phi"], dx)
         dh_pre = _gelu_backward(dh, ctx["h_pre"], ctx["phi"])
         dm_in = dh_pre @ params[pre + "w1"].T
-        grads[pre + "w1"] = np.einsum("btd,btk->dk", ctx["m_in"], dh_pre)
+        grads[pre + "w1"] = _wgrad(ctx["m_in"], dh_pre)
         dln2, grads[pre + "ln2.g"], grads[pre + "ln2.b"] = _layer_norm_backward(
             dm_in, params[pre + "ln2.g"], ctx["ln2"])
         dx_mid = dx + dln2
 
         # x_mid = x + attention(ln1(x)) @ wo
         datt = dx_mid @ params[pre + "wo"].T
-        grads[pre + "wo"] = np.einsum("btd,bte->de", ctx["att"], dx_mid)
+        grads[pre + "wo"] = _wgrad(ctx["att"], dx_mid)
         g = attention_backward(ctx["attn"], datt)
         dq, dk, dv = g.dq, g.dk, g.dv
         da = dq @ params[pre + "wq"].T + dk @ params[pre + "wk"].T + dv @ params[pre + "wv"].T
         a = ctx["a"]
-        grads[pre + "wq"] = np.einsum("btd,bte->de", a, dq)
-        grads[pre + "wk"] = np.einsum("btd,bte->de", a, dk)
-        grads[pre + "wv"] = np.einsum("btd,bte->de", a, dv)
+        grads[pre + "wq"] = _wgrad(a, dq)
+        grads[pre + "wk"] = _wgrad(a, dk)
+        grads[pre + "wv"] = _wgrad(a, dv)
         dln1, grads[pre + "ln1.g"], grads[pre + "ln1.b"] = _layer_norm_backward(
             da, params[pre + "ln1.g"], ctx["ln1"])
         dx = dx_mid + dln1
 
-    np.add.at(grads["embed"], inputs.reshape(-1), dx.reshape(-1, d))
+    # The tied embedding is read twice: as the logits' weight and as the
+    # token lookup. The lookup's scatter-add of dx into the rows of repeated
+    # token ids is the one-hot (B*T, V) matrix's transpose times dx.
+    onehot = (inputs.reshape(-1, 1) == np.arange(params["embed"].shape[0])).astype(np.float64)
+    grads["embed"] = _wgrad(dlogits, cache["hf"]) + _wgrad(onehot, dx)
     return grads
 
 

@@ -45,6 +45,8 @@ MANIFEST_EDITS = (
     set_key("kind", "v7"),
     set_key("seq_len", 0),
     set_key("layers", 10**12),
+    set_key("eps", 0.0),
+    set_key("eps", -1.0),
     set_key("vocab", [97, 300]),
     rename_first_param,
     reshape_wq,
@@ -132,6 +134,22 @@ class TestTrainCommand:
         assert main(args + ["--out", str(b)]) == 0
         for name in ("metrics.csv", "checkpoint.bin", "config.json"):
             assert read(a / name) == read(b / name), name
+
+    @pytest.mark.parametrize("flags", [
+        ["--kind", "v3", "--eps", "0"],
+        ["--kind", "v4", "--eps", "-1"],
+        ["--init-std", "-1"],
+        ["--lr", "-1"],
+        ["--adam-eps", "0"],
+        ["--seed", "-1"],
+    ])
+    def test_bad_value_is_config_error(self, tmp_path, capsys, flags):
+        rc = main(["train", "--layers", "1", "--d-model", "8", "--seq-len", "8",
+                   "--batch", "2", "--steps", "2", *flags, "--out", str(tmp_path / "x")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
 
     def test_missing_corpus_is_config_error(self, tmp_path, capsys):
         rc = main(["train", "--corpus", str(tmp_path / "nope.txt"),

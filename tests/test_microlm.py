@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sasoftmax import (
+    ALL_KINDS,
     CheckpointError,
     CorpusTooSmall,
     NonFiniteGradient,
@@ -15,6 +16,7 @@ from sasoftmax import (
     VariantKind,
     Vocabulary,
     adam_step,
+    attention_backward,
     attention_maps,
     backward,
     evaluate_ppl,
@@ -28,7 +30,12 @@ from sasoftmax import (
     save_checkpoint,
     train,
 )
-from sasoftmax.microlm import param_names, sample_windows
+from sasoftmax.microlm import (
+    _gelu_backward,
+    _layer_norm_backward,
+    param_names,
+    sample_windows,
+)
 
 
 def tiny_config(corpus, **overrides):
@@ -36,6 +43,20 @@ def tiny_config(corpus, **overrides):
                 d_model=8, seq_len=4, batch=2, steps=5, lr=1e-3, seed=0, rope=True)
     base.update(overrides)
     return TrainConfig(**base)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("eps", 0.0), ("eps", -1.0), ("eps", float("nan")), ("lr", 0.0), ("lr", -1.0),
+        ("lr", float("inf")), ("adam_eps", 0.0), ("rope_base", 0.0), ("init_std", -1.0),
+        ("init_std", float("nan")), ("seed", -1), ("steps", -1), ("layers", 0),
+    ])
+    def test_bad_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(corpus_path="", **{field: value})
+
+    def test_zero_init_std_accepted(self):
+        assert TrainConfig(corpus_path="", init_std=0.0).init_std == 0.0
 
 
 class TestCorpus:
@@ -121,6 +142,33 @@ class TestBackward:
         rel = model_fd_worst_rel(kind, seed=3)
         assert rel <= 1e-5
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_matches_einsum_reference(self, kind):
+        cfg = TrainConfig(corpus_path="", kind=kind, layers=2, d_model=8, seq_len=6,
+                          batch=3, seed=0, rope=True)
+        vocab_size = 5
+        rng = np.random.default_rng(11)
+        params = init_params(cfg, vocab_size, rng)
+        for n in params:
+            if params[n].ndim == 2:
+                params[n] = params[n] * 20.0
+        # 18 positions over 5 ids: the embed scatter must add up repeated rows;
+        # the column stride makes the inputs a non-contiguous view
+        wide = rng.integers(0, vocab_size, (3, 12))
+        inputs = wide[:, ::2]
+        assert not inputs.flags.c_contiguous
+        assert np.bincount(inputs.ravel()).max() > 1
+        targets = rng.integers(0, vocab_size, (3, 6))
+        _, cache = forward_loss(params, inputs, targets, cfg)
+        got = backward(cache)
+        want = einsum_backward(cache)
+        assert list(got) == param_names(cfg) and set(want) == set(got)
+        for name in got:
+            scale = np.abs(want[name]).max()
+            assert scale > 0, name
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-12, atol=1e-12 * scale,
+                                       err_msg=name)
+
     def test_gradient_linearity_over_batch_halves(self, corpus_path):
         tokens, vocab = load_corpus(corpus_path)
         cfg = tiny_config(corpus_path, batch=4, kind=VariantKind.V2)
@@ -136,6 +184,42 @@ class TestBackward:
         for name in g_full:
             np.testing.assert_allclose(g_full[name], 0.5 * (g_a[name] + g_b[name]),
                                        rtol=0, atol=1e-12)
+
+
+def einsum_backward(cache):
+    """The trainer's backward as it was written with np.einsum weight
+    gradients and an np.add.at embed scatter: the reference for the 2-D
+    matmul form, which sums the same products in another order."""
+    cfg = cache["cfg"]
+    params = cache["params"]
+    inputs = cache["inputs"]
+    b, t = inputs.shape
+    dlogits = cache["probs"].copy()
+    dlogits[np.arange(b)[:, None], np.arange(t)[None, :], cache["targets"]] -= 1.0
+    dlogits /= b * t
+    grads = {"embed": np.einsum("btv,btd->vd", dlogits, cache["hf"])}
+    dx, grads["lnf.g"], grads["lnf.b"] = _layer_norm_backward(
+        dlogits @ params["embed"], params["lnf.g"], cache["lnf"])
+    for i in reversed(range(cfg.layers)):
+        pre = f"h{i}."
+        ctx = cache["layers"][i]
+        h = ctx["h_pre"] * ctx["phi"]
+        grads[pre + "w2"] = np.einsum("btk,btd->kd", h, dx)
+        dh_pre = _gelu_backward(dx @ params[pre + "w2"].T, ctx["h_pre"], ctx["phi"])
+        grads[pre + "w1"] = np.einsum("btd,btk->dk", ctx["m_in"], dh_pre)
+        dln2, grads[pre + "ln2.g"], grads[pre + "ln2.b"] = _layer_norm_backward(
+            dh_pre @ params[pre + "w1"].T, params[pre + "ln2.g"], ctx["ln2"])
+        dx_mid = dx + dln2
+        grads[pre + "wo"] = np.einsum("btd,bte->de", ctx["att"], dx_mid)
+        g = attention_backward(ctx["attn"], dx_mid @ params[pre + "wo"].T)
+        da = g.dq @ params[pre + "wq"].T + g.dk @ params[pre + "wk"].T + g.dv @ params[pre + "wv"].T
+        for name, dw in (("wq", g.dq), ("wk", g.dk), ("wv", g.dv)):
+            grads[pre + name] = np.einsum("btd,bte->de", ctx["a"], dw)
+        dln1, grads[pre + "ln1.g"], grads[pre + "ln1.b"] = _layer_norm_backward(
+            da, params[pre + "ln1.g"], ctx["ln1"])
+        dx = dx_mid + dln1
+    np.add.at(grads["embed"], inputs.reshape(-1), dx.reshape(-1, cfg.d_model))
+    return grads
 
 
 def model_fd_worst_rel(kind, seed=3, h=1e-5):
