@@ -109,23 +109,22 @@ def rope_rotate(x: np.ndarray, base: float = 10000.0) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     cos, sin = rope_tables(x.shape[-2], x.shape[-1], base)
-    even = x[..., 0::2]
-    odd = x[..., 1::2]
-    out = np.empty_like(x)
-    out[..., 0::2] = even * cos - odd * sin
-    out[..., 1::2] = even * sin + odd * cos
-    return out
+    return _rotate(x, cos, sin)
 
 
 def rope_rotate_back(grad: np.ndarray, base: float = 10000.0) -> np.ndarray:
     """Pull a gradient back through rope_rotate (rotation by the negated angle)."""
     grad = np.asarray(grad, dtype=np.float64)
     cos, sin = rope_tables(grad.shape[-2], grad.shape[-1], base)
-    g_even = grad[..., 0::2]
-    g_odd = grad[..., 1::2]
-    out = np.empty_like(grad)
-    out[..., 0::2] = g_even * cos + g_odd * sin
-    out[..., 1::2] = -g_even * sin + g_odd * cos
+    return _rotate(grad, cos, -sin)
+
+
+def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    even = x[..., 0::2]
+    odd = x[..., 1::2]
+    out = np.empty_like(x)
+    out[..., 0::2] = even * cos - odd * sin
+    out[..., 1::2] = even * sin + odd * cos
     return out
 
 

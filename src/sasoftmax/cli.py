@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -23,10 +24,11 @@ from .diagnostics import (
     saturation_sweep,
     sweep_to_csv,
 )
-from .errors import SaSoftmaxError
+from .errors import ConfigError, SaSoftmaxError, _require_positive
 from .jacobians import gradcheck, reports_to_json
 from .microlm import (
     TrainConfig,
+    _is_json,
     attention_maps,
     evaluate_ppl,
     load_checkpoint,
@@ -34,7 +36,7 @@ from .microlm import (
     save_checkpoint,
     train,
 )
-from .variants import VariantKind
+from .variants import ALL_KINDS, DEFAULT_EPS, VariantKind
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -43,19 +45,12 @@ EXIT_CONFIG = 2
 BUNDLED_CORPUS = "bundled"
 
 
-class ConfigError(Exception):
-    """Bad flag/config value; maps to exit code 2."""
-
-
 def bundled_corpus_path() -> Path:
     return Path(str(resources.files("sasoftmax").joinpath("data/tiny_corpus.txt")))
 
 
 def _parse_kinds(text: str) -> tuple[VariantKind, ...]:
-    try:
-        return tuple(VariantKind.from_string(part) for part in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return tuple(VariantKind.from_string(part) for part in text.split(","))
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -65,6 +60,13 @@ def _parse_floats(text: str) -> tuple[float, ...]:
         raise ConfigError(f"expected a comma-separated list of numbers, got {text!r}") from None
 
 
+ALL_KINDS_TEXT = ",".join(kind.value for kind in ALL_KINDS)
+
+# TrainConfig fields that `train` sets under their own names; their flag
+# types and defaults are TrainConfig's.
+TRAIN_FIELDS = ("layers", "d_model", "seq_len", "batch", "steps", "lr", "adam_eps",
+                "seed", "rope", "init_std", "eps")
+
 # Per-subcommand schema: name -> (python type, default). The JSON config file
 # may set any of these; explicit CLI flags override it. A None default marks
 # a required option.
@@ -73,7 +75,7 @@ SCHEMAS: dict[str, dict[str, tuple[type, object]]] = {
         "samples": (int, 1000),
         "tmin": (int, 1),
         "tmax": (int, 8),
-        "kinds": (str, "baseline,v1,v2,v3,v4"),
+        "kinds": (str, ALL_KINDS_TEXT),
         "tol_rel": (float, 1e-6),
         "seed": (int, 7),
         "out": (str, None),
@@ -81,27 +83,18 @@ SCHEMAS: dict[str, dict[str, tuple[type, object]]] = {
     "sweep": {
         "gaps": (str, "2,4,6,8,10,12,14,16"),
         "t": (int, 4),
-        "kinds": (str, "baseline,v1,v2,v3,v4"),
+        "kinds": (str, ALL_KINDS_TEXT),
         "profile": (str, "one_peak"),
-        "eps": (float, 1e-10),
+        "eps": (float, DEFAULT_EPS),
         "out": (str, None),
     },
     "train": {
         "corpus": (str, BUNDLED_CORPUS),
-        "kind": (str, "baseline"),
-        "layers": (int, 2),
-        "d_model": (int, 32),
-        "seq_len": (int, 64),
-        "batch": (int, 16),
-        "steps": (int, 2000),
-        "lr": (float, 3e-3),
-        "beta1": (float, 0.9),
-        "beta2": (float, 0.95),
-        "adam_eps": (float, 1e-8),
-        "seed": (int, 0),
-        "rope": (bool, True),
-        "init_std": (float, 0.02),
-        "eps": (float, 1e-10),
+        "kind": (str, TrainConfig.kind.value),
+        **{name: (type(getattr(TrainConfig, name)), getattr(TrainConfig, name))
+           for name in TRAIN_FIELDS},
+        "beta1": (float, TrainConfig.adam_betas[0]),
+        "beta2": (float, TrainConfig.adam_betas[1]),
         "wall_times": (bool, False),
         "out": (str, None),
     },
@@ -133,11 +126,10 @@ def _load_file_config(path: str, schema: dict) -> dict:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     for key, value in data.items():
         want, _ = schema[key]
-        if want is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
-            data[key] = value
-        if not isinstance(value, want) or (want is int and isinstance(value, bool)):
+        if not _is_json(value, want):
             raise ConfigError(f"config key {key!r} must be {want.__name__}")
+        if want is float:
+            data[key] = float(value)
     return data
 
 
@@ -186,8 +178,9 @@ def run_gradcheck(merged: dict) -> int:
     if not 1 <= merged["tmin"] <= merged["tmax"]:
         raise ConfigError(f"--tmin/--tmax must satisfy 1 <= tmin <= tmax, "
                           f"got {merged['tmin']}..{merged['tmax']}")
-    if merged["tol_rel"] <= 0:
-        raise ConfigError(f"--tol-rel must be positive, got {merged['tol_rel']}")
+    _require_positive("--tol-rel", merged["tol_rel"])
+    if merged["seed"] < 0:
+        raise ConfigError(f"--seed must be >= 0, got {merged['seed']}")
     kinds = _parse_kinds(merged["kinds"])
     out_dir = Path(merged["out"])
     _write_config_echo(out_dir, "gradcheck", merged)
@@ -207,43 +200,23 @@ def run_gradcheck(merged: dict) -> int:
 
 
 def run_sweep(merged: dict) -> int:
-    gaps = _parse_floats(merged["gaps"])
-    kinds = _parse_kinds(merged["kinds"])
-    try:
-        spec = SweepSpec(gaps=gaps, t=merged["t"], kinds=kinds, profile=merged["profile"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if merged["eps"] <= 0:
-        raise ConfigError(f"--eps must be positive, got {merged['eps']}")
+    spec = SweepSpec(gaps=_parse_floats(merged["gaps"]), t=merged["t"],
+                     kinds=_parse_kinds(merged["kinds"]), profile=merged["profile"])
+    records = saturation_sweep(spec, eps=merged["eps"])
     out_dir = Path(merged["out"])
     _write_config_echo(out_dir, "sweep", merged)
-    records = saturation_sweep(spec, eps=merged["eps"])
     _atomic_write(out_dir / "sweep.csv", sweep_to_csv(records))
     print(f"sweep: wrote {len(records)} records to {out_dir / 'sweep.csv'}")
     return EXIT_OK
 
 
 def _train_config(merged: dict) -> TrainConfig:
-    corpus = _resolve_corpus(merged["corpus"])
-    try:
-        return TrainConfig(
-            corpus_path=str(corpus),
-            kind=VariantKind.from_string(merged["kind"]),
-            layers=merged["layers"],
-            d_model=merged["d_model"],
-            seq_len=merged["seq_len"],
-            batch=merged["batch"],
-            steps=merged["steps"],
-            lr=merged["lr"],
-            adam_betas=(merged["beta1"], merged["beta2"]),
-            adam_eps=merged["adam_eps"],
-            seed=merged["seed"],
-            rope=merged["rope"],
-            eps=merged["eps"],
-            init_std=merged["init_std"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return TrainConfig(
+        corpus_path=str(_resolve_corpus(merged["corpus"])),
+        kind=VariantKind.from_string(merged["kind"]),
+        adam_betas=(merged["beta1"], merged["beta2"]),
+        **{name: merged[name] for name in TRAIN_FIELDS},
+    )
 
 
 def run_train(merged: dict) -> int:
@@ -268,11 +241,11 @@ def run_eval(merged: dict) -> int:
     text_path = Path(merged["text"])
     if not text_path.is_file():
         raise ConfigError(f"text file not found: {text_path}")
+    params, cfg, vocab = load_checkpoint(ckpt_path)
+    if merged["seq_len"] != 0:
+        cfg = replace(cfg, seq_len=merged["seq_len"])
     out_dir = Path(merged["out"])
     _write_config_echo(out_dir, "eval", merged)
-    params, cfg, vocab = load_checkpoint(ckpt_path)
-    if merged["seq_len"] > 0:
-        cfg = TrainConfig(**{**cfg.__dict__, "seq_len": merged["seq_len"]})
     ppl = evaluate_ppl(params, cfg, vocab, text_path.read_bytes())
     doc = json.dumps({"ppl": ppl})
     _atomic_write(out_dir / "eval.json", doc + "\n")
@@ -284,13 +257,13 @@ def run_dump(merged: dict) -> int:
     ckpt_path = Path(merged["checkpoint"])
     if not ckpt_path.is_file():
         raise ConfigError(f"checkpoint not found: {ckpt_path}")
-    out_dir = Path(merged["out"])
-    _write_config_echo(out_dir, "dump", merged)
     params, cfg, vocab = load_checkpoint(ckpt_path)
     try:
         maps = attention_maps(params, cfg, vocab, merged["prompt"])
     except SaSoftmaxError as exc:
         raise ConfigError(str(exc)) from None
+    out_dir = Path(merged["out"])
+    _write_config_echo(out_dir, "dump", merged)
     paths = dump_attention(maps, out_dir)
     print(f"dump: wrote {len(paths)} attention map(s) to {out_dir}")
     return EXIT_OK

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyHistory, LengthMismatch
+from .errors import ConfigError, EmptyHistory, LengthMismatch, _require_positive
 from .microlm import RunMetrics, TrainConfig
 from .variants import ALL_KINDS, DEFAULT_EPS, LogitRow, VariantKind
 from .jacobians import variant_jacobian
@@ -35,11 +35,13 @@ class SweepSpec:
 
     def __post_init__(self):
         if not self.gaps:
-            raise ValueError("gaps must be non-empty")
+            raise ConfigError("gaps must be non-empty")
+        if not np.all(np.isfinite(self.gaps)):
+            raise ConfigError(f"gaps must be finite, got {self.gaps}")
         if self.t < 2:
-            raise ValueError(f"sweep rows need t >= 2, got {self.t}")
+            raise ConfigError(f"sweep rows need t >= 2, got {self.t}")
         if self.profile not in PROFILES:
-            raise ValueError(f"profile must be one of {PROFILES}, got {self.profile!r}")
+            raise ConfigError(f"profile must be one of {PROFILES}, got {self.profile!r}")
 
 
 @dataclass(frozen=True)
@@ -59,12 +61,13 @@ def profile_row(profile: str, g: float, t: int) -> np.ndarray:
     elif profile == "one_trough":
         z[0] = -g
     elif profile != "uniform":
-        raise ValueError(f"unknown profile {profile!r}")
+        raise ConfigError(f"unknown profile {profile!r}")
     return z
 
 
 def saturation_sweep(spec: SweepSpec, eps: float = DEFAULT_EPS) -> list[SweepRecord]:
     """One record per (g, kind), ordered by g ascending then variant order."""
+    _require_positive("eps", eps)
     kinds = tuple(k for k in ALL_KINDS if k in set(spec.kinds))
     records = []
     for g in sorted(spec.gaps):

@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the one range check of a
+positive run setting."""
+
+import math
 
 
 class SaSoftmaxError(Exception):
@@ -56,3 +59,14 @@ class NonFiniteGradient(SaSoftmaxError):
 
 class CheckpointError(SaSoftmaxError, ValueError):
     """A checkpoint file is corrupt, truncated, or not a checkpoint at all."""
+
+
+class ConfigError(SaSoftmaxError, ValueError):
+    """A run setting is out of range: a config field, a sweep or gradcheck
+    argument, or a variant name. The CLI exits 2 on it."""
+
+
+def _require_positive(name: str, value: float) -> None:
+    # written as `not ok` so that NaN fails too
+    if not (0.0 < value < math.inf):
+        raise ConfigError(f"{name} must be positive and finite, got {value}")

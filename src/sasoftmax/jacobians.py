@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotNormalized
+from .errors import ConfigError, NotNormalized, _require_positive
 from .variants import (
     DEFAULT_EPS,
     ALL_KINDS,
@@ -136,10 +136,8 @@ def variant_jacobian(z: LogitRow, kind: VariantKind, eps: float = DEFAULT_EPS) -
 def fd_jacobian(z: LogitRow, kind: VariantKind, eps: float = DEFAULT_EPS,
                 h: float = FD_STEP) -> JacobianBlock:
     """Central-difference Jacobian oracle; perturbs live entries only."""
-    if h <= 0.0:
-        raise ValueError(f"h must be positive, got {h}")
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _require_positive("h", h)
+    _require_positive("eps", eps)
     values = _checked_values(z)
     live = values[: z.valid_len][np.newaxis, :]
     block = _fd_full_rows(live, kind, eps, h)[0]
@@ -193,15 +191,14 @@ def gradcheck(samples: int, t_range: tuple[int, int] = (1, 8),
     Deterministic given the seed.
     """
     if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if tol_rel <= 0.0:
-        raise ValueError(f"tol_rel must be positive, got {tol_rel}")
+        raise ConfigError(f"samples must be >= 1, got {samples}")
+    _require_positive("tol_rel", tol_rel)
     t_lo, t_hi = t_range
     if not 1 <= t_lo <= t_hi:
-        raise ValueError(f"bad row-length range {t_range}")
+        raise ConfigError(f"bad row-length range {t_range}")
     kinds = tuple(k for k in ALL_KINDS if k in set(kinds))
     if not kinds:
-        raise ValueError("kinds must be non-empty")
+        raise ConfigError("kinds must be non-empty")
 
     rng = np.random.default_rng(seed)
     reports: list[GradCheckReport] = []

@@ -23,11 +23,13 @@ from .attention import AttentionInput, attention_backward, attention_forward
 from .errors import (
     CacheMismatch,
     CheckpointError,
+    ConfigError,
     CorpusTooSmall,
     NonFiniteGradient,
     ShapeMismatch,
     TextTooShort,
     UnknownSymbol,
+    _require_positive,
 )
 from .variants import DEFAULT_EPS, VariantKind
 
@@ -56,22 +58,20 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("layers", "d_model", "seq_len", "batch"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("steps", "seed"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        # written as `not ok` so that NaN fails too
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("lr", "adam_eps", "eps", "rope_base"):
-            value = getattr(self, name)
-            if not (0.0 < value < math.inf):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            _require_positive(name, getattr(self, name))
+        # written as `not ok` so that NaN fails too
         if not (0.0 <= self.init_std < math.inf):
-            raise ValueError(f"init_std must be >= 0 and finite, got {self.init_std}")
+            raise ConfigError(f"init_std must be >= 0 and finite, got {self.init_std}")
         b1, b2 = self.adam_betas
         if not (0.0 < b1 < 1.0 and 0.0 < b2 < 1.0):
-            raise ValueError(f"adam betas must lie in (0, 1), got {self.adam_betas}")
+            raise ConfigError(f"adam betas must lie in (0, 1), got {self.adam_betas}")
         if self.d_model % 2 != 0 and self.rope:
-            raise ValueError("rope requires an even d_model")
+            raise ConfigError("rope requires an even d_model")
 
 
 @dataclass
@@ -456,6 +456,19 @@ def metrics_to_csv(metrics: RunMetrics, wall_times: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The TrainConfig fields a checkpoint keeps besides kind: the model's shape
+# and arithmetic, all that evaluating it needs.
+_MANIFEST_CONFIG = ("layers", "d_model", "seq_len", "rope", "rope_base", "eps")
+# Manifest key -> JSON type; a float key also takes an int, and bool is
+# accepted only where it is meant. The config keys have the types of
+# TrainConfig's defaults.
+_MANIFEST_TYPES = {
+    "format_version": int, "kind": str,
+    **{key: type(getattr(TrainConfig, key)) for key in _MANIFEST_CONFIG},
+    "vocab": list, "params": list,
+}
+
+
 def save_checkpoint(path: str | Path, params: dict, cfg: TrainConfig,
                     vocab: Vocabulary) -> None:
     """Single binary blob: magic, manifest length, JSON manifest, raw float64
@@ -463,12 +476,7 @@ def save_checkpoint(path: str | Path, params: dict, cfg: TrainConfig,
     manifest = {
         "format_version": 1,
         "kind": cfg.kind.value,
-        "layers": cfg.layers,
-        "d_model": cfg.d_model,
-        "seq_len": cfg.seq_len,
-        "rope": cfg.rope,
-        "rope_base": cfg.rope_base,
-        "eps": cfg.eps,
+        **{key: getattr(cfg, key) for key in _MANIFEST_CONFIG},
         "vocab": list(vocab.byte_values),
         "params": [{"name": n, "shape": list(params[n].shape)} for n in params],
     }
@@ -477,14 +485,6 @@ def save_checkpoint(path: str | Path, params: dict, cfg: TrainConfig,
     tmp = Path(str(path) + ".tmp")
     tmp.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(payload)) + payload + blob)
     tmp.replace(path)
-
-
-# Manifest key -> JSON type; a float key also takes an int, and bool is
-# accepted only where it is meant.
-_MANIFEST_TYPES = {
-    "format_version": int, "kind": str, "layers": int, "d_model": int, "seq_len": int,
-    "rope": bool, "rope_base": float, "eps": float, "vocab": list, "params": list,
-}
 
 
 def _is_json(value, want: type) -> bool:
@@ -513,17 +513,9 @@ def _read_manifest(manifest, path) -> tuple[TrainConfig, Vocabulary, dict[str, t
     if manifest["format_version"] != 1:
         raise bad(f"format_version {manifest['format_version']} is not 1")
     try:
-        cfg = TrainConfig(
-            corpus_path="",
-            kind=VariantKind.from_string(manifest["kind"]),
-            layers=manifest["layers"],
-            d_model=manifest["d_model"],
-            seq_len=manifest["seq_len"],
-            rope=manifest["rope"],
-            rope_base=manifest["rope_base"],
-            eps=manifest["eps"],
-        )
-    except ValueError as exc:
+        cfg = TrainConfig(corpus_path="", kind=VariantKind.from_string(manifest["kind"]),
+                          **{key: manifest[key] for key in _MANIFEST_CONFIG})
+    except ConfigError as exc:
         raise bad(str(exc)) from None
     if not all(_is_json(b, int) and 0 <= b <= 255 for b in manifest["vocab"]):
         raise bad("vocab entries must be byte values 0-255")

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyRow, NonFiniteInput
+from .errors import ConfigError, EmptyRow, NonFiniteInput, _require_positive
 
 DEFAULT_EPS = 1e-10
 
@@ -43,7 +43,7 @@ class VariantKind(enum.Enum):
             return cls(name.strip().lower())
         except ValueError:
             valid = ", ".join(k.value for k in cls)
-            raise ValueError(f"unknown variant {name!r} (expected one of: {valid})") from None
+            raise ConfigError(f"unknown variant {name!r} (expected one of: {valid})") from None
 
 
 # Enum order doubles as the canonical serialization order.
@@ -214,8 +214,7 @@ def row_extrema(z: LogitRow) -> RowExtrema:
 
 def apply_variant(z: LogitRow, kind: VariantKind, eps: float = DEFAULT_EPS) -> ScoreRow:
     """Evaluate the selected scoring function on one causally masked row."""
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _require_positive("eps", eps)
     values = _checked_values(z)
     w = variant_weights(values, _row_mask(values.shape[0], z.valid_len), kind, eps)
     return ScoreRow(weights=w, valid_len=z.valid_len)

@@ -21,6 +21,8 @@ from sasoftmax import (
     scaled_scores,
 )
 
+from sasoftmax.attention import rope_tables
+
 from oracle_matrix import reference_attention
 
 KIND_NAMES = {
@@ -83,6 +85,18 @@ class TestRope:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(9, 6))
         np.testing.assert_allclose(rope_rotate_back(rope_rotate(x)), x, atol=1e-12)
+
+    def test_backward_is_transposed_rotation_bitwise(self):
+        # the written-out pullback, signed zeros included
+        rng = np.random.default_rng(4)
+        g = rng.normal(size=(2, 9, 6))
+        g[..., ::4] = 0.0
+        g[..., 1::5] = -0.0
+        cos, sin = rope_tables(9, 6)
+        want = np.empty_like(g)
+        want[..., 0::2] = g[..., 0::2] * cos + g[..., 1::2] * sin
+        want[..., 1::2] = -g[..., 0::2] * sin + g[..., 1::2] * cos
+        assert rope_rotate_back(g).tobytes() == want.tobytes()
 
 
 class TestForward:

@@ -3,15 +3,31 @@
 All invocations run main() in-process against temp directories.
 """
 
+import dataclasses
 import json
 
 import pytest
 
-from sasoftmax.cli import main
+from sasoftmax import TrainConfig, load_checkpoint
+from sasoftmax.cli import build_parser, main
+
+# Every option `train` takes. TrainConfig fields left off the CLI (rope_base)
+# must stay off: a new flag is a new config field in every run's echo.
+TRAIN_FLAGS = {"corpus", "kind", "layers", "d_model", "seq_len", "batch", "steps", "lr",
+               "beta1", "beta2", "adam_eps", "seed", "rope", "init_std", "eps",
+               "wall_times", "out"}
 
 
 def read(path):
     return path.read_bytes()
+
+
+def assert_config_error(rc, capsys, out):
+    """Exit 2 with one `error:` line and nothing written."""
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def with_manifest(whole, edit):
@@ -87,6 +103,18 @@ class TestGradcheckCommand:
         assert main(args + ["--out", str(b)]) == 0
         assert read(a / "gradcheck.json") == read(b / "gradcheck.json")
 
+    @pytest.mark.parametrize("flags", [
+        ["--seed", "-1"],
+        ["--tol-rel", "nan"],
+        ["--tol-rel", "inf"],
+        ["--tol-rel", "0"],
+        ["--kinds", "v9"],
+    ])
+    def test_bad_value_is_config_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "x"
+        rc = main(["gradcheck", "--samples", "5", "--tmax", "2", *flags, "--out", str(out)])
+        assert_config_error(rc, capsys, out)
+
 
 class TestSweepCommand:
     def test_default_row_count(self, tmp_path):
@@ -116,6 +144,20 @@ class TestSweepCommand:
     def test_bad_kind_is_config_error(self, tmp_path):
         assert main(["sweep", "--kinds", "v7", "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--eps", "nan"],
+        ["--eps", "inf"],
+        ["--eps", "0"],
+        ["--gaps", "nan"],
+        ["--gaps", "2,inf"],
+        ["--gaps", "2,x"],
+        ["--kinds", "v7"],
+        ["--t", "1"],
+    ])
+    def test_bad_value_is_config_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "x"
+        assert_config_error(main(["sweep", *flags, "--out", str(out)]), capsys, out)
+
 
 class TestTrainCommand:
     def test_writes_metrics_and_checkpoint(self, trained_dir):
@@ -144,12 +186,29 @@ class TestTrainCommand:
         ["--seed", "-1"],
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "x"
         rc = main(["train", "--layers", "1", "--d-model", "8", "--seq-len", "8",
-                   "--batch", "2", "--steps", "2", *flags, "--out", str(tmp_path / "x")])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert not (tmp_path / "x").exists()
+                   "--batch", "2", "--steps", "2", *flags, "--out", str(out)])
+        assert_config_error(rc, capsys, out)
+
+    def test_flag_set_frozen(self):
+        parsed = vars(build_parser().parse_args(["train"]))
+        assert set(parsed) == TRAIN_FLAGS | {"command", "config"}
+
+    def test_default_echo_is_train_config(self, tmp_path):
+        out = tmp_path / "d"
+        assert main(["train", "--steps", "0", "--out", str(out)]) == 0
+        cfg = TrainConfig(corpus_path="", steps=0)
+        fields = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)
+                  if f.name not in ("corpus_path", "rope_base", "adam_betas")}
+        fields["kind"] = cfg.kind.value
+        beta1, beta2 = cfg.adam_betas
+        assert json.loads((out / "config.json").read_text()) == {
+            "command": "train", "corpus": "bundled", "wall_times": False,
+            "beta1": beta1, "beta2": beta2, **fields}
+        # the manifest keeps the config fields the model needs, the rest default
+        _, saved, _ = load_checkpoint(out / "checkpoint.bin")
+        assert saved == TrainConfig(corpus_path="")
 
     def test_missing_corpus_is_config_error(self, tmp_path, capsys):
         rc = main(["train", "--corpus", str(tmp_path / "nope.txt"),
@@ -169,6 +228,25 @@ class TestEvalCommand:
         stored = json.loads((out / "eval.json").read_text())
         assert printed == stored
         assert printed["ppl"] > 0
+
+    def test_negative_seq_len_is_config_error(self, trained_dir, tmp_path, capsys):
+        text = tmp_path / "t.txt"
+        text.write_text("the river and the stone and the light.\n" * 3)
+        out = tmp_path / "ev"
+        rc = main(["eval", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                   "--text", str(text), "--seq-len", "-5", "--out", str(out)])
+        assert_config_error(rc, capsys, out)
+
+    def test_seq_len_override_used(self, trained_dir, tmp_path):
+        text = tmp_path / "t.txt"
+        text.write_text("the river and the stone and the light.\n" * 3)
+        ppl = {}
+        for seq_len in ("0", "8", "4"):
+            out = tmp_path / seq_len
+            assert main(["eval", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                         "--text", str(text), "--seq-len", seq_len, "--out", str(out)]) == 0
+            ppl[seq_len] = json.loads((out / "eval.json").read_text())["ppl"]
+        assert ppl["0"] == ppl["8"] != ppl["4"]  # the checkpoint was trained at 8
 
     def test_missing_checkpoint_exits_2(self, tmp_path):
         text = tmp_path / "t.txt"
@@ -253,6 +331,28 @@ class TestConfigHandling:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"t": "four"}))
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("key,value,ok", [
+        ("lr", 1, True),          # a float key takes an int, stored as a float
+        ("lr", 0.5, True),
+        ("lr", True, False),      # only a bool key takes a bool
+        ("layers", 1.0, False),
+        ("layers", True, False),
+        ("rope", 1, False),
+        ("rope", False, True),
+        ("kind", 4, False),
+    ])
+    def test_json_types(self, tmp_path, key, value, ok):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "x"
+        rc = main(["train", "--config", str(cfg), "--d-model", "8", "--seq-len", "8",
+                   "--batch", "2", "--steps", "0", "--out", str(out)])
+        assert rc == (0 if ok else 2)
+        if ok:
+            echoed = json.loads((out / "config.json").read_text())[key]
+            assert echoed == value
+            assert type(echoed) is (float if key == "lr" else type(value))
 
     def test_missing_required_out_rejected(self, capsys):
         assert main(["sweep"]) == 2

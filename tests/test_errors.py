@@ -1,0 +1,61 @@
+"""Every bad run setting raises the one ConfigError, which is both a library
+error and a ValueError."""
+
+import numpy as np
+import pytest
+
+from sasoftmax import (
+    ConfigError,
+    LogitRow,
+    SaSoftmaxError,
+    SweepSpec,
+    TrainConfig,
+    VariantKind,
+    apply_variant,
+    fd_jacobian,
+    gradcheck,
+    saturation_sweep,
+)
+
+NAN, INF = float("nan"), float("inf")
+ROW = LogitRow([1.0, 2.0], 2)
+SPEC = SweepSpec(gaps=(2.0,), t=2)
+
+BAD_SETTINGS = {
+    "train_lr_nan": lambda: TrainConfig(corpus_path="", lr=NAN),
+    "train_layers_0": lambda: TrainConfig(corpus_path="", layers=0),
+    "train_betas": lambda: TrainConfig(corpus_path="", adam_betas=(1.0, 0.95)),
+    "train_odd_rope": lambda: TrainConfig(corpus_path="", d_model=7),
+    "kind_name": lambda: VariantKind.from_string("v9"),
+    "sweep_no_gaps": lambda: SweepSpec(gaps=()),
+    "sweep_gap_nan": lambda: SweepSpec(gaps=(1.0, NAN)),
+    "sweep_gap_inf": lambda: SweepSpec(gaps=(-INF,)),
+    "sweep_t_1": lambda: SweepSpec(gaps=(1.0,), t=1),
+    "sweep_profile": lambda: SweepSpec(gaps=(1.0,), profile="sideways"),
+    "sweep_eps_0": lambda: saturation_sweep(SPEC, eps=0.0),
+    "sweep_eps_nan": lambda: saturation_sweep(SPEC, eps=NAN),
+    "sweep_eps_inf": lambda: saturation_sweep(SPEC, eps=INF),
+    "variant_eps_nan": lambda: apply_variant(ROW, VariantKind.V3, eps=NAN),
+    "fd_h_nan": lambda: fd_jacobian(ROW, VariantKind.V3, h=NAN),
+    "fd_eps_inf": lambda: fd_jacobian(ROW, VariantKind.V3, eps=INF),
+    "gradcheck_tol_nan": lambda: gradcheck(samples=1, tol_rel=NAN),
+    "gradcheck_tol_inf": lambda: gradcheck(samples=1, tol_rel=INF),
+    "gradcheck_kinds": lambda: gradcheck(samples=1, kinds=()),
+}
+
+
+def test_config_error_is_library_error_and_value_error():
+    assert issubclass(ConfigError, SaSoftmaxError)
+    assert issubclass(ConfigError, ValueError)
+
+
+@pytest.mark.parametrize("name", BAD_SETTINGS)
+def test_bad_setting_raises_config_error(name):
+    with pytest.raises(ConfigError):
+        BAD_SETTINGS[name]()
+
+
+def test_finite_negative_and_zero_gaps_accepted():
+    records = saturation_sweep(SweepSpec(gaps=(-3.0, 0.0), t=3, kinds=(VariantKind.V4,)))
+    assert [r.g for r in records] == [-3.0, 0.0]
+    assert all(np.isfinite(r.frob_norm) for r in records)
