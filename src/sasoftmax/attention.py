@@ -6,7 +6,9 @@ call serves both a single head and the trainer's (B, T, d) batch. The forward
 pass computes z = (QK^T) * (1/sqrt(d)) (+ bias), applies the selected scoring
 function under the causal mask, and returns the weighted sum of values. The
 backward pass maps the weight-space gradient to the logits with the batched
-vector-Jacobian product, O(T) memory per query row and exact.
+vector-Jacobian product, O(T) memory per query row and exact. It reads the
+softmax, the scaler and the RoPE tables that the forward kept in its cache
+instead of computing them again.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CacheMismatch, NonFiniteInput, OddHeadDim, ShapeMismatch
-from .jacobians import variant_weight_vjp
-from .variants import DEFAULT_EPS, VariantKind, variant_weights
+from .jacobians import _weight_vjp
+from .variants import DEFAULT_EPS, VariantKind, _Scaler, _weights
 
 
 def causal_mask(t: int) -> np.ndarray:
@@ -41,12 +43,18 @@ class AttentionInput:
 
 @dataclass(frozen=True)
 class AttentionCache:
-    """Forward intermediates needed for the exact backward pass."""
+    """Forward intermediates needed for the exact backward pass.
+
+    weights = scaler * softmax; scaler is None for the baseline. cos/sin are
+    the RoPE tables the forward rotated q and k with, None without rope.
+    """
 
     q_rot: np.ndarray
     k_rot: np.ndarray
     v: np.ndarray
     scores: np.ndarray
+    softmax: np.ndarray
+    scaler: _Scaler | None
     weights: np.ndarray
     mask: np.ndarray
     kind: VariantKind
@@ -54,6 +62,8 @@ class AttentionCache:
     scale: float
     rope: bool
     rope_base: float
+    cos: np.ndarray | None
+    sin: np.ndarray | None
     has_bias: bool
 
 
@@ -115,8 +125,7 @@ def rope_rotate(x: np.ndarray, base: float = 10000.0) -> np.ndarray:
 def rope_rotate_back(grad: np.ndarray, base: float = 10000.0) -> np.ndarray:
     """Pull a gradient back through rope_rotate (rotation by the negated angle)."""
     grad = np.asarray(grad, dtype=np.float64)
-    cos, sin = rope_tables(grad.shape[-2], grad.shape[-1], base)
-    return _rotate(grad, cos, -sin)
+    return _rotate_back(grad, *rope_tables(grad.shape[-2], grad.shape[-1], base))
 
 
 def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
@@ -126,6 +135,11 @@ def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     out[..., 0::2] = even * cos - odd * sin
     out[..., 1::2] = even * sin + odd * cos
     return out
+
+
+def _rotate_back(grad: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """The pullback of _rotate(x, cos, sin): rotation by the negated angle."""
+    return _rotate(grad, cos, -sin)
 
 
 def attention_forward(inp: AttentionInput) -> tuple[np.ndarray, AttentionCache]:
@@ -139,16 +153,21 @@ def attention_forward(inp: AttentionInput) -> tuple[np.ndarray, AttentionCache]:
         if arr is not None and not np.all(np.isfinite(arr)):
             raise NonFiniteInput(f"{name} contains NaN or Inf")
 
-    q_rot = rope_rotate(q, inp.rope_base) if inp.rope else q
-    k_rot = rope_rotate(k, inp.rope_base) if inp.rope else k
+    if inp.rope:
+        cos, sin = rope_tables(q.shape[-2], q.shape[-1], inp.rope_base)
+        q_rot, k_rot = _rotate(q, cos, sin), _rotate(k, cos, sin)
+    else:
+        cos = sin = None
+        q_rot, k_rot = q, k
     scores = scaled_scores(q_rot, k_rot, inp.bias)
     mask = causal_mask(q.shape[-2])
-    weights = variant_weights(scores, mask, inp.kind, inp.eps)
+    softmax, scaler, weights = _weights(scores, mask, inp.kind, inp.eps)
     out = weights @ v
     cache = AttentionCache(
-        q_rot=q_rot, k_rot=k_rot, v=v, scores=scores, weights=weights, mask=mask,
-        kind=inp.kind, eps=inp.eps, scale=1.0 / np.sqrt(float(q.shape[-1])),
-        rope=inp.rope, rope_base=inp.rope_base, has_bias=inp.bias is not None,
+        q_rot=q_rot, k_rot=k_rot, v=v, scores=scores, softmax=softmax, scaler=scaler,
+        weights=weights, mask=mask, kind=inp.kind, eps=inp.eps,
+        scale=1.0 / np.sqrt(float(q.shape[-1])), rope=inp.rope, rope_base=inp.rope_base,
+        cos=cos, sin=sin, has_bias=inp.bias is not None,
     )
     return out, cache
 
@@ -157,7 +176,8 @@ def attention_backward(cache: AttentionCache, d_out: np.ndarray) -> AttentionGra
     """Exact gradients of the attention output with respect to q, k, v, bias.
 
     The weight-space gradient d_out @ v^T is pulled back to the logits by
-    variant_weight_vjp, batched over every query row of every stack.
+    the core of variant_weight_vjp, batched over every query row of every
+    stack, from the softmax and scaler the forward kept.
     """
     d_out = np.asarray(d_out, dtype=np.float64)
     if d_out.shape != cache.v.shape:
@@ -165,13 +185,13 @@ def attention_backward(cache: AttentionCache, d_out: np.ndarray) -> AttentionGra
 
     dv = np.swapaxes(cache.weights, -1, -2) @ d_out
     dw = d_out @ np.swapaxes(cache.v, -1, -2)
-    dz = variant_weight_vjp(cache.scores, cache.mask, dw, cache.kind, cache.eps)
+    dz = _weight_vjp(cache.mask, dw, cache.softmax, cache.scaler, cache.weights)
 
     dq_rot = (dz @ cache.k_rot) * cache.scale
     dk_rot = (np.swapaxes(dz, -1, -2) @ cache.q_rot) * cache.scale
     if cache.rope:
-        dq = rope_rotate_back(dq_rot, cache.rope_base)
-        dk = rope_rotate_back(dk_rot, cache.rope_base)
+        dq = _rotate_back(dq_rot, cache.cos, cache.sin)
+        dk = _rotate_back(dk_rot, cache.cos, cache.sin)
     else:
         dq, dk = dq_rot, dk_rot
     dbias = dz if cache.has_bias else None

@@ -24,7 +24,13 @@ from .diagnostics import (
     saturation_sweep,
     sweep_to_csv,
 )
-from .errors import ConfigError, SaSoftmaxError, _require_positive
+from .errors import (
+    ConfigError,
+    SaSoftmaxError,
+    TextTooShort,
+    UnknownSymbol,
+    _require_positive,
+)
 from .jacobians import gradcheck, reports_to_json
 from .microlm import (
     TrainConfig,
@@ -260,7 +266,7 @@ def run_dump(merged: dict) -> int:
     params, cfg, vocab = load_checkpoint(ckpt_path)
     try:
         maps = attention_maps(params, cfg, vocab, merged["prompt"])
-    except SaSoftmaxError as exc:
+    except (UnknownSymbol, TextTooShort) as exc:  # the errors a bad --prompt causes
         raise ConfigError(str(exc)) from None
     out_dir = Path(merged["out"])
     _write_config_echo(out_dir, "dump", merged)

@@ -32,9 +32,9 @@ from .variants import (
     LogitRow,
     ScoreRow,
     VariantKind,
+    _Scaler,
     _checked_values,
-    _scaler,
-    masked_softmax,
+    _weights,
     variant_weights,
 )
 
@@ -84,10 +84,7 @@ def _sub_at(a: np.ndarray, idx: np.ndarray, v: np.ndarray) -> None:
 def _jacobian_full_rows(z: np.ndarray, kind: VariantKind, eps: float) -> np.ndarray:
     """Batched closed-form Jacobians for fully live rows. z: (N, T) -> (N, T, T)."""
     z = np.asarray(z, dtype=np.float64)
-    mask = np.ones_like(z, dtype=bool)
-    s = masked_softmax(z, mask)
-    sc = None if kind is VariantKind.BASELINE else _scaler(z, mask, kind, eps)
-    cs = s if sc is None else sc.u / sc.d * s
+    s, sc, cs = _weights(z, np.ones_like(z, dtype=bool), kind, eps)
 
     # Scaler-weighted softmax part: diag(c*s) - outer(c*s, s).
     jac = -cs[:, :, np.newaxis] * s[:, np.newaxis, :]
@@ -253,20 +250,25 @@ def variant_weight_vjp(scores: np.ndarray, mask: np.ndarray, grad_w: np.ndarray,
     """Vector-Jacobian product: dL/dz given dL/dw, batched over rows.
 
     Equivalent to applying the transposed JacobianBlock of each row but in
-    O(T) memory per row; the trainer's hot path. Masked entries of the result
-    are exactly 0.
+    O(T) memory per row. Masked entries of the result are exactly 0.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    s = masked_softmax(scores, mask)
+    return _weight_vjp(mask, grad_w, *_weights(scores, mask, kind, eps))
+
+
+def _weight_vjp(mask: np.ndarray, grad_w: np.ndarray, s: np.ndarray,
+                sc: _Scaler | None, w: np.ndarray) -> np.ndarray:
+    """variant_weight_vjp from the softmax s, scaler sc and weights w = c * s
+    of the same scores, as variants._weights returns them; the attention
+    backward passes the ones its forward kept."""
     g = np.where(mask, grad_w, 0.0)
     gs = g * s
-    if kind is VariantKind.BASELINE:
+    if sc is None:
         return np.where(mask, gs - s * np.sum(gs, axis=-1, keepdims=True), 0.0)
 
     # Softmax part s_k * (g_k c_k - sum_j g_j w_j), then the scaler's
     # identity term and its lo and d gates.
-    sc = _scaler(scores, mask, kind, eps)
-    gw = g * (sc.u / sc.d * s)
+    gw = g * w
     gw_sum = np.sum(gw, axis=-1, keepdims=True)
     dz = gw - s * gw_sum + gs / sc.d
     if sc.lo_at_min is not None:

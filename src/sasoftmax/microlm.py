@@ -206,6 +206,13 @@ def _gelu_backward(dy, x, phi):
 def forward_loss(params: dict, inputs: np.ndarray, targets: np.ndarray,
                  cfg: TrainConfig) -> tuple[float, dict]:
     """Mean next-token cross-entropy (nats) plus a cache for backward."""
+    return _forward(params, inputs, targets, cfg, keep=True)
+
+
+def _forward(params: dict, inputs: np.ndarray, targets: np.ndarray,
+             cfg: TrainConfig, keep: bool) -> tuple[float, dict | None]:
+    """forward_loss's loss, and its cache if keep; without keep the cache is
+    None and no layer's intermediates outlive the layer."""
     inputs = np.asarray(inputs)
     targets = np.asarray(targets)
     if inputs.shape != targets.shape or inputs.ndim != 2:
@@ -215,26 +222,9 @@ def forward_loss(params: dict, inputs: np.ndarray, targets: np.ndarray,
     x = params["embed"][inputs]
     layers = []
     for i in range(cfg.layers):
-        pre = f"h{i}."
-        a, ln1_ctx = _layer_norm(x, params[pre + "ln1.g"], params[pre + "ln1.b"])
-        q = a @ params[pre + "wq"]
-        k = a @ params[pre + "wk"]
-        v = a @ params[pre + "wv"]
-        att, attn = attention_forward(AttentionInput(
-            q, k, v, kind=cfg.kind, rope=cfg.rope, rope_base=cfg.rope_base, eps=cfg.eps))
-        o = att @ params[pre + "wo"]
-        x_mid = x + o
-        m_in, ln2_ctx = _layer_norm(x_mid, params[pre + "ln2.g"], params[pre + "ln2.b"])
-        h_pre = m_in @ params[pre + "w1"]
-        h, phi = _gelu(h_pre)
-        mlp = h @ params[pre + "w2"]
-        # h itself is not kept: backward rebuilds it as h_pre * phi
-        layers.append({
-            "a": a, "ln1": ln1_ctx, "attn": attn, "z": attn.scores,
-            "att": att, "ln2": ln2_ctx,
-            "m_in": m_in, "h_pre": h_pre, "phi": phi,
-        })
-        x = x_mid + mlp
+        x, ctx = _block(x, params, f"h{i}.", cfg, keep)
+        if keep:
+            layers.append(ctx)
 
     hf, lnf_ctx = _layer_norm(x, params["lnf.g"], params["lnf.b"])
     logits = hf @ params["embed"].T
@@ -246,6 +236,8 @@ def forward_loss(params: dict, inputs: np.ndarray, targets: np.ndarray,
     rows = np.arange(b)[:, np.newaxis]
     cols = np.arange(t)[np.newaxis, :]
     loss = float(-log_probs[rows, cols, targets].mean())
+    if not keep:
+        return loss, None
 
     cache = {
         "cfg": cfg, "inputs": inputs, "targets": targets, "mask": layers[0]["attn"].mask,
@@ -253,6 +245,33 @@ def forward_loss(params: dict, inputs: np.ndarray, targets: np.ndarray,
         "probs": exp / norm, "params": params,
     }
     return loss, cache
+
+
+def _block(x: np.ndarray, params: dict, pre: str, cfg: TrainConfig,
+           keep: bool) -> tuple[np.ndarray, dict | None]:
+    """One pre-norm decoder block, x + attn(ln1(x)) and then + mlp(ln2(.)),
+    and the context backward reads if keep.
+
+    Its temporaries die when it returns. Without keep, the attention
+    intermediates are released before the MLP runs, so an inference forward
+    holds one sublayer's temporaries at a time.
+    """
+    a, ln1_ctx = _layer_norm(x, params[pre + "ln1.g"], params[pre + "ln1.b"])
+    att, attn = attention_forward(AttentionInput(
+        a @ params[pre + "wq"], a @ params[pre + "wk"], a @ params[pre + "wv"],
+        kind=cfg.kind, rope=cfg.rope, rope_base=cfg.rope_base, eps=cfg.eps))
+    x_mid = x + att @ params[pre + "wo"]
+    ctx = {"a": a, "ln1": ln1_ctx, "attn": attn, "z": attn.scores, "att": att} if keep else None
+    del a, ln1_ctx, att, attn
+
+    m_in, ln2_ctx = _layer_norm(x_mid, params[pre + "ln2.g"], params[pre + "ln2.b"])
+    h_pre = m_in @ params[pre + "w1"]
+    h, phi = _gelu(h_pre)
+    out = x_mid + h @ params[pre + "w2"]
+    if keep:
+        # h itself is not kept: backward rebuilds it as h_pre * phi
+        ctx.update({"ln2": ln2_ctx, "m_in": m_in, "h_pre": h_pre, "phi": phi})
+    return out, ctx
 
 
 def _wgrad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -426,7 +445,7 @@ def evaluate_ppl(params: dict, cfg: TrainConfig, vocab: Vocabulary,
     n_windows = (len(ids) - 1) // t
     starts = np.arange(n_windows) * t
     idx = starts[:, np.newaxis] + np.arange(t)[np.newaxis, :]
-    loss, _ = forward_loss(params, ids[idx], ids[idx + 1], cfg)
+    loss, _ = _forward(params, ids[idx], ids[idx + 1], cfg, keep=False)
     return float(np.exp(loss))
 
 
@@ -553,6 +572,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict, TrainConfig, Vocabulary]:
         if len(raw) < off + count * 8:
             raise CheckpointError(f"{path} is truncated inside parameter {name!r}")
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(shape)
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"{path} has a NaN or infinite value in parameter {name!r}")
         params[name] = arr.astype(np.float64)
         off += count * 8
     if off != len(raw):

@@ -181,10 +181,21 @@ def variant_scaler(scores: np.ndarray, mask: np.ndarray, kind: VariantKind,
     return sc.u / sc.d
 
 
+def _weights(scores: np.ndarray, mask: np.ndarray, kind: VariantKind,
+             eps: float) -> tuple[np.ndarray, _Scaler | None, np.ndarray]:
+    """(softmax, scaler, weights): the weights and the two factors their VJP
+    reads. The scaler is None for the baseline, whose weights are the softmax."""
+    s = masked_softmax(scores, mask)
+    if kind is VariantKind.BASELINE:
+        return s, None, s
+    sc = _scaler(scores, mask, kind, eps)
+    return s, sc, sc.u / sc.d * s
+
+
 def variant_weights(scores: np.ndarray, mask: np.ndarray, kind: VariantKind,
                     eps: float = DEFAULT_EPS) -> np.ndarray:
     """scaler(x) * softmax(x) on live entries, exact 0 on masked ones."""
-    return variant_scaler(scores, mask, kind, eps) * masked_softmax(scores, mask)
+    return _weights(scores, mask, kind, eps)[2]
 
 
 # ---------------------------------------------------------------------------

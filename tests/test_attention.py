@@ -16,9 +16,11 @@ from sasoftmax import (
     VariantKind,
     attention_backward,
     attention_forward,
+    causal_mask,
     rope_rotate,
     rope_rotate_back,
     scaled_scores,
+    variant_weight_vjp,
 )
 
 from sasoftmax.attention import rope_tables
@@ -293,12 +295,37 @@ class TestBackward:
         column_major = (np.asfortranarray,
                         lambda x: np.swapaxes(np.swapaxes(x, -1, -2).copy(), -1, -2))
         for layout in column_major:
-            moved = dataclasses.replace(cache, **{
-                f: layout(getattr(cache, f))
-                for f in ("q_rot", "k_rot", "v", "scores", "weights", "mask")})
+            # every array the backward reads, the forward's factors included:
+            # u has the scores' shape, and d, argmin/argmax and the gates a
+            # trailing axis of length 1; the VJP scatters at argmin/argmax
+            # with _sub_at
+            scaler = None if cache.scaler is None else cache.scaler._replace(**{
+                f: layout(a) for f, a in cache.scaler._asdict().items()
+                if isinstance(a, np.ndarray)})
+            moved = dataclasses.replace(cache, scaler=scaler, **{
+                f: layout(getattr(cache, f)) for f in (
+                    "q_rot", "k_rot", "v", "scores", "softmax", "weights", "mask", "cos", "sin")})
+            assert not moved.softmax.flags.c_contiguous
             got = attention_backward(moved, layout(d_out))
             for a, b in ((got.dq, want.dq), (got.dk, want.dk), (got.dv, want.dv)):
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_reads_same_dz_as_public_vjp(self, kind):
+        # the backward's dz comes from the factors its forward kept; the
+        # public variant_weight_vjp recomputes them from the scores, bitwise
+        rng = np.random.default_rng(104)
+        q, k, v, d_out = rng.normal(size=(4, 2, 5, 4))
+        bias = rng.normal(size=(2, 5, 5))
+        _, cache = attention_forward(AttentionInput(q, k, v, kind=kind, bias=bias, rope=True))
+        grads = attention_backward(cache, d_out)
+        dz = variant_weight_vjp(cache.scores, causal_mask(5), d_out @ np.swapaxes(v, -1, -2),
+                                kind, cache.eps)
+        assert np.array_equal(grads.dbias, dz)
+        dq = rope_rotate_back((dz @ cache.k_rot) * cache.scale, cache.rope_base)
+        dk = rope_rotate_back((np.swapaxes(dz, -1, -2) @ cache.q_rot) * cache.scale,
+                              cache.rope_base)
+        assert np.array_equal(grads.dq, dq) and np.array_equal(grads.dk, dk)
 
     def test_bias_gradient(self):
         rng = np.random.default_rng(101)

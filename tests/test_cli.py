@@ -6,9 +6,10 @@ All invocations run main() in-process against temp directories.
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from sasoftmax import TrainConfig, load_checkpoint
+from sasoftmax import TrainConfig, load_checkpoint, save_checkpoint
 from sasoftmax.cli import build_parser, main
 
 # Every option `train` takes. TrainConfig fields left off the CLI (rope_base)
@@ -49,6 +50,14 @@ def reshape_wq(m):
     # same element count, so the buffers still line up
     return {**m, "params": [{**p, "shape": [4, 16]} if p["name"] == "h0.wq" else p
                             for p in m["params"]]}
+
+
+def with_param_entry(trained_dir, tmp_path, name, value):
+    """The trained checkpoint's bytes with one entry of a parameter replaced."""
+    params, cfg, vocab = load_checkpoint(trained_dir / "checkpoint.bin")
+    params[name].flat[1] = value
+    save_checkpoint(tmp_path / "edited.bin", params, cfg, vocab)
+    return (tmp_path / "edited.bin").read_bytes()
 
 
 MANIFEST_EDITS = (
@@ -264,6 +273,8 @@ class TestEvalCommand:
         blobs = [b"NOTACKPT" + whole[8:], whole[:700], whole[:-16], whole + b"\0",
                  b"SAXLM001" + (2).to_bytes(8, "little") + b"{}"]
         blobs += [with_manifest(whole, edit) for edit in MANIFEST_EDITS]
+        blobs += [with_param_entry(trained_dir, tmp_path, "h0.wq", value)
+                  for value in (np.nan, np.inf, -np.inf)]
         for i, blob in enumerate(blobs):
             bad = tmp_path / f"bad{i}.bin"
             bad.write_bytes(blob)
@@ -276,6 +287,29 @@ class TestEvalCommand:
 
 
 class TestDumpCommand:
+    def test_bad_prompt_is_config_error(self, trained_dir, tmp_path, capsys):
+        for i, prompt in enumerate(("", "the \x07")):  # TextTooShort, UnknownSymbol
+            out = tmp_path / f"dump{i}"
+            capsys.readouterr()
+            rc = main(["dump", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                       "--prompt", prompt, "--out", str(out)])
+            assert_config_error(rc, capsys, out)
+
+    def test_other_library_error_keeps_exit_1(self, trained_dir, tmp_path, capsys):
+        # finite weights whose query projection overflows: ln1's output sums
+        # to about d_model, so every q entry is about 8e308 = inf
+        params, cfg, vocab = load_checkpoint(trained_dir / "checkpoint.bin")
+        params["h0.ln1.b"][:] = 1.0
+        params["h0.wq"][:] = 1e308
+        save_checkpoint(tmp_path / "huge.bin", params, cfg, vocab)
+        capsys.readouterr()
+        with np.errstate(over="ignore"):
+            rc = main(["dump", "--checkpoint", str(tmp_path / "huge.bin"),
+                       "--prompt", "the", "--out", str(tmp_path / "dump")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: NonFiniteInput: q contains NaN or Inf\n"
+
     def test_singleton_first_row(self, trained_dir, tmp_path):
         out = tmp_path / "dump"
         rc = main(["dump", "--checkpoint", str(trained_dir / "checkpoint.bin"),

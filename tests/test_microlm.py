@@ -1,9 +1,13 @@
 """Micro-LM tests: corpus handling, exact gradients, Adam, determinism,
 training behavior, perplexity, and checkpoint round-trips."""
 
+import collections
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from sasoftmax import attention, jacobians, microlm, variants
 from sasoftmax import (
     ALL_KINDS,
     CheckpointError,
@@ -126,6 +130,30 @@ class TestForwardLoss:
         assert cache["mask"] is cache["layers"][0]["attn"].mask
         for layer in cache["layers"]:
             assert layer["z"] is layer["attn"].scores
+
+    def test_v4_step_computes_each_factor_once(self, corpus_path, monkeypatch):
+        # the backward reads the softmax, scaler and RoPE tables its forward
+        # kept: one of each per layer (recomputing them would make 4 / 4 / 8)
+        counts = collections.Counter()
+        for owner, name in ((variants, "masked_softmax"), (variants, "masked_extrema"),
+                            (attention, "rope_tables")):
+            fn = getattr(owner, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            for mod in (variants, jacobians, attention, microlm):
+                if getattr(mod, name, None) is fn:
+                    monkeypatch.setattr(mod, name, counted)
+        tokens, vocab = load_corpus(corpus_path)
+        cfg = TrainConfig(corpus_path=str(corpus_path), kind=VariantKind.V4)
+        rng = np.random.default_rng(0)
+        params = init_params(cfg, vocab.size, rng)
+        inputs, targets = sample_windows(tokens, cfg.seq_len, cfg.batch, rng)
+        backward(forward_loss(params, inputs, targets, cfg)[1])
+        assert cfg.layers == 2
+        assert counts == {"masked_softmax": 2, "masked_extrema": 2, "rope_tables": 2}
 
     def test_shape_mismatch(self, corpus_path):
         _, vocab = load_corpus(corpus_path)
@@ -342,7 +370,28 @@ class TestEvaluate:
         idx = (np.arange(5) * 8)[:, None] + np.arange(8)[None, :]
         loss, _ = forward_loss(params, ids[idx], ids[idx + 1], cfg)
         ppl = evaluate_ppl(params, cfg, vocab, vocab.decode(ids))
-        assert abs(ppl - np.exp(loss)) <= 1e-9
+        assert ppl == np.exp(loss)
+
+    def test_keeps_no_backward_cache(self, corpus_path):
+        # eval's peak holds one sublayer's temporaries; forward_loss keeps
+        # every layer's intermediates and the probabilities (ratio ~0.3)
+        tokens, vocab = load_corpus(corpus_path)
+        cfg = tiny_config(corpus_path, layers=2, d_model=16, seq_len=32)
+        params = init_params(cfg, vocab.size, np.random.default_rng(2))
+        ids = tokens[: 32 * 64 + 1]
+        idx = (np.arange(64) * 32)[:, None] + np.arange(32)[None, :]
+        text = vocab.decode(ids)
+        tracemalloc.start()
+        try:
+            _, cache = forward_loss(params, ids[idx], ids[idx + 1], cfg)
+            train_peak = tracemalloc.get_traced_memory()[1]
+            del cache
+            tracemalloc.reset_peak()
+            evaluate_ppl(params, cfg, vocab, text)
+            eval_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert eval_peak <= 0.5 * train_peak
 
     def test_unknown_symbol_rejected(self, tmp_path):
         path = tmp_path / "c.txt"
