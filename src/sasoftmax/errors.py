@@ -16,10 +16,6 @@ class NonFiniteInput(SaSoftmaxError):
     """An unmasked input entry is NaN or infinite."""
 
 
-class NotNormalized(SaSoftmaxError):
-    """A weight row expected to sum to 1 does not."""
-
-
 class ShapeMismatch(SaSoftmaxError):
     """Array arguments disagree on sequence length or feature dimension."""
 

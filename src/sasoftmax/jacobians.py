@@ -25,12 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NotNormalized, _require_positive
+from .errors import ConfigError, _require_positive
 from .variants import (
     DEFAULT_EPS,
     ALL_KINDS,
     LogitRow,
-    ScoreRow,
     VariantKind,
     _Scaler,
     _checked_values,
@@ -112,16 +111,6 @@ def _embed_block(block: np.ndarray, total: int) -> np.ndarray:
     return out
 
 
-def softmax_jacobian(alpha: ScoreRow) -> JacobianBlock:
-    """diag(a) - a a^T on the live block of a baseline weight row."""
-    w = np.asarray(alpha.weights, dtype=np.float64)
-    a = w[: alpha.valid_len]
-    if abs(a.sum() - 1.0) > 1e-8:
-        raise NotNormalized(f"weights sum to {a.sum()!r}, expected 1")
-    block = np.diag(a) - np.outer(a, a)
-    return JacobianBlock(entries=_embed_block(block, w.shape[0]), valid_len=alpha.valid_len)
-
-
 def variant_jacobian(z: LogitRow, kind: VariantKind, eps: float = DEFAULT_EPS) -> JacobianBlock:
     """Closed-form Jacobian of apply_variant with respect to the logit row."""
     values = _checked_values(z)
@@ -139,13 +128,6 @@ def fd_jacobian(z: LogitRow, kind: VariantKind, eps: float = DEFAULT_EPS,
     live = values[: z.valid_len][np.newaxis, :]
     block = _fd_full_rows(live, kind, eps, h)[0]
     return JacobianBlock(entries=_embed_block(block, values.shape[0]), valid_len=z.valid_len)
-
-
-def is_tie_row(z: LogitRow, kind: VariantKind, h: float = FD_STEP) -> bool:
-    """True if a +-h perturbation could flip an extrema choice (or a v4 clamp
-    branch), making the finite-difference comparison ill-defined."""
-    live = _checked_values(z)[: z.valid_len]
-    return bool(_tie_rows(live[np.newaxis, :], kind, h)[0])
 
 
 def _tie_rows(z: np.ndarray, kind: VariantKind, h: float) -> np.ndarray:
@@ -208,23 +190,23 @@ def gradcheck(samples: int, t_range: tuple[int, int] = (1, 8),
             abs_err = np.abs(analytic - fd)
             denom = np.maximum(np.abs(analytic), np.abs(fd))
             rel = np.divide(abs_err, denom, out=np.zeros_like(abs_err), where=denom > 0)
-            eff_rel = np.where(abs_err <= abs_floor, 0.0, rel)
-            for i in range(samples):
-                if ties[i]:
+            eff_rel = np.where(abs_err <= abs_floor, 0.0, rel).reshape(samples, -1)
+            # Each row's reductions at once; argmax takes the first maximum,
+            # so the worst entry is the lowest flat index among ties.
+            worst = eff_rel.argmax(axis=1)
+            max_rel = eff_rel[np.arange(samples), worst]
+            rows = zip(ties.tolist(), abs_err.reshape(samples, -1).max(axis=1).tolist(),
+                       max_rel.tolist(), (worst // t).tolist(), (worst % t).tolist(),
+                       (max_rel <= tol_rel).tolist())
+            for i, (tie, max_abs, rel_err, j, k, passed) in enumerate(rows):
+                if tie:
                     reports.append(GradCheckReport(
                         kind=kind, t=t, sample=i, max_abs_err=0.0, max_rel_err=0.0,
                         worst_entry=(0, 0), passed=True, skipped_tie=True))
                     continue
-                worst_flat = int(np.argmax(eff_rel[i]))
-                worst = (worst_flat // t, worst_flat % t)
-                max_rel = float(eff_rel[i].max())
                 reports.append(GradCheckReport(
-                    kind=kind, t=t, sample=i,
-                    max_abs_err=float(abs_err[i].max()),
-                    max_rel_err=max_rel,
-                    worst_entry=worst,
-                    passed=bool(max_rel <= tol_rel),
-                    skipped_tie=False))
+                    kind=kind, t=t, sample=i, max_abs_err=max_abs, max_rel_err=rel_err,
+                    worst_entry=(j, k), passed=passed, skipped_tie=False))
     return reports
 
 

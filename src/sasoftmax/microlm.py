@@ -334,7 +334,8 @@ def backward(cache: dict) -> dict[str, np.ndarray]:
     # The tied embedding is read twice: as the logits' weight and as the
     # token lookup. The lookup's scatter-add of dx into the rows of repeated
     # token ids is the one-hot (B*T, V) matrix's transpose times dx.
-    onehot = (inputs.reshape(-1, 1) == np.arange(params["embed"].shape[0])).astype(np.float64)
+    onehot = np.zeros((b * t, params["embed"].shape[0]))
+    onehot[np.arange(b * t), inputs.ravel()] = 1.0
     grads["embed"] = _wgrad(dlogits, cache["hf"]) + _wgrad(onehot, dx)
     return grads
 

@@ -75,16 +75,6 @@ class ScoreRow:
     valid_len: int
 
 
-@dataclass(frozen=True)
-class RowExtrema:
-    """Min/max over the unmasked entries of a row, ties resolved to the lowest index."""
-
-    min_val: float
-    max_val: float
-    argmin: int
-    argmax: int
-
-
 def _checked_values(z: LogitRow) -> np.ndarray:
     if z.valid_len < 1:
         raise EmptyRow(f"valid_len must be >= 1, got {z.valid_len}")
@@ -213,14 +203,6 @@ def softmax_row(z: LogitRow) -> ScoreRow:
     values = _checked_values(z)
     w = masked_softmax(values, _row_mask(values.shape[0], z.valid_len))
     return ScoreRow(weights=w, valid_len=z.valid_len)
-
-
-def row_extrema(z: LogitRow) -> RowExtrema:
-    """Extrema over the live entries only; ties go to the lowest index."""
-    values = _checked_values(z)
-    mn, mx, amin, amax = masked_extrema(values, _row_mask(values.shape[0], z.valid_len))
-    return RowExtrema(min_val=float(mn), max_val=float(mx),
-                      argmin=int(amin), argmax=int(amax))
 
 
 def apply_variant(z: LogitRow, kind: VariantKind, eps: float = DEFAULT_EPS) -> ScoreRow:

@@ -8,20 +8,25 @@ import pytest
 
 from sasoftmax import (
     ALL_KINDS,
+    DEFAULT_EPS,
+    GradCheckReport,
     LogitRow,
-    NotNormalized,
-    ScoreRow,
     VariantKind,
     apply_variant,
     causal_mask,
     fd_jacobian,
     gradcheck,
-    is_tie_row,
     reports_to_json,
-    softmax_jacobian,
     softmax_row,
     variant_jacobian,
     variant_weight_vjp,
+)
+from sasoftmax.jacobians import (
+    ABS_FLOOR,
+    FD_STEP,
+    _fd_full_rows,
+    _jacobian_full_rows,
+    _tie_rows,
 )
 
 
@@ -31,30 +36,27 @@ def transposed_strides(x):
 
 
 class TestSoftmaxJacobian:
+    """The baseline closed form is the softmax Jacobian diag(a) - a a^T."""
+
     def test_uniform_pair(self):
-        block = softmax_jacobian(ScoreRow(np.array([0.5, 0.5]), 2))
+        block = variant_jacobian(LogitRow([0.0, 0.0], 2), VariantKind.BASELINE)
         np.testing.assert_allclose(block.entries, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-15)
 
     def test_saturated_singleton(self):
-        block = softmax_jacobian(ScoreRow(np.array([1.0]), 1))
+        block = variant_jacobian(LogitRow([3.0], 1), VariantKind.BASELINE)
         assert block.entries[0, 0] == 0.0
 
     def test_ordered_pair_frozen_values(self):
         # 50-digit evaluation of a(1-a) and -a0*a1 at softmax([1, 2])
-        block = softmax_jacobian(softmax_row(LogitRow([1.0, 2.0], 2)))
+        block = variant_jacobian(LogitRow([1.0, 2.0], 2), VariantKind.BASELINE)
         np.testing.assert_allclose(np.diag(block.entries), [0.196611933241] * 2, atol=1e-5)
         assert abs(block.entries[0, 1] + 0.196611933241) <= 1e-5
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(NotNormalized):
-            softmax_jacobian(ScoreRow(np.array([0.7, 0.7]), 2))
 
     def test_rows_sum_to_zero_and_symmetric(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             t = int(rng.integers(1, 20))
-            alpha = softmax_row(LogitRow(rng.uniform(-8, 8, t), t))
-            j = softmax_jacobian(alpha).entries
+            j = variant_jacobian(LogitRow(rng.uniform(-8, 8, t), t), VariantKind.BASELINE).entries
             np.testing.assert_allclose(j.sum(axis=1), 0.0, atol=1e-12)
             np.testing.assert_allclose(j, j.T, atol=1e-15)
 
@@ -72,11 +74,11 @@ class TestVariantJacobian:
         assert abs(base - 1.36162696101e-4) <= 1e-12
         assert abs(v1 - 1.00122544572) <= 1e-9
 
-    def test_baseline_delegates_to_softmax_jacobian(self):
-        z = LogitRow([1.0, 2.0], 2)
+    def test_baseline_is_softmax_jacobian(self):
+        z = LogitRow([1.0, 2.0, -0.5], 2)
         a = variant_jacobian(z, VariantKind.BASELINE).entries
-        b = softmax_jacobian(softmax_row(z)).entries
-        np.testing.assert_allclose(a, b, atol=1e-15)
+        s = softmax_row(z).weights
+        np.testing.assert_allclose(a, np.diag(s) - np.outer(s, s), atol=1e-15)
 
     def test_v1_decomposition_identity(self):
         # J_v1 = diag(softmax) + diag(z) @ J_softmax
@@ -86,7 +88,7 @@ class TestVariantJacobian:
             z = rng.uniform(-8, 8, t)
             row = LogitRow(z, t)
             jv1 = variant_jacobian(row, VariantKind.V1).entries
-            jsm = softmax_jacobian(softmax_row(row)).entries
+            jsm = variant_jacobian(row, VariantKind.BASELINE).entries
             s = softmax_row(row).weights
             np.testing.assert_allclose(jv1, np.diag(s) + np.diag(z) @ jsm, atol=1e-12)
 
@@ -133,13 +135,14 @@ class TestFiniteDifferenceOracle:
         assert (np.abs(a - f) / denom).max() < 1e-6
 
     def test_tie_row_is_flagged(self):
-        assert is_tie_row(LogitRow([2.0, 2.0], 2), VariantKind.V2)
-        assert not is_tie_row(LogitRow([2.0, 3.0], 2), VariantKind.V2)
+        rows = np.array([[2.0, 2.0], [2.0, 3.0]])
+        assert _tie_rows(rows, VariantKind.V2, FD_STEP).tolist() == [True, False]
 
     def test_v4_clamp_boundary_is_flagged(self):
         # extrema near 0 flip the clamp branches inside the FD stencil
-        assert is_tie_row(LogitRow([1e-6, 3.0], 2), VariantKind.V4)
-        assert not is_tie_row(LogitRow([1e-6, 3.0], 2), VariantKind.V3)
+        rows = np.array([[1e-6, 3.0], [-3.0, -1e-6], [-1.0, 3.0]])
+        assert _tie_rows(rows, VariantKind.V4, FD_STEP).tolist() == [True, True, False]
+        assert _tie_rows(rows, VariantKind.V3, FD_STEP).tolist() == [False, False, False]
 
     @pytest.mark.parametrize("values, col, step", [
         ([0.0, 1.0, 2.5], 0, 1e-7),    # x_min = 0: lo = min(x_min, 0) stays 0 for +h
@@ -208,6 +211,65 @@ class TestGradcheck:
             gradcheck(samples=1, tol_rel=0.0)
         with pytest.raises(ValueError):
             gradcheck(samples=1, t_range=(3, 2))
+
+    # Central differences at the default step are accurate to about the
+    # absolute floor, so rows fail only once the floor is lowered as well.
+    @pytest.mark.parametrize("tol_rel, abs_floor", [(1e-6, ABS_FLOOR), (1e-12, 1e-14)])
+    def test_matches_per_row_loop(self, tol_rel, abs_floor):
+        got = gradcheck(samples=100, t_range=(1, 8), tol_rel=tol_rel, seed=5,
+                        abs_floor=abs_floor)
+        want = loop_gradcheck(100, (1, 8), tol_rel, seed=5, abs_floor=abs_floor)
+        # line lists and per-report equality keep a failure's diff short
+        assert reports_to_json(got).splitlines() == reports_to_json(want).splitlines()
+        for g, w in zip(got, want):
+            assert g == w
+        checked = [r for r in got if not r.skipped_tie]
+        assert len(checked) < len(got) and {r.kind for r in checked} == set(ALL_KINDS)
+        if tol_rel == 1e-12:
+            # failing rows exercise passed=False and worst entries off (0, 0)
+            failed = [r for r in checked if not r.passed]
+            assert 0 < len(failed) < len(checked)
+            assert len({r.worst_entry for r in failed}) > 10
+        for r in got:
+            assert type(r.max_abs_err) is float and type(r.max_rel_err) is float
+            assert type(r.passed) is bool and type(r.skipped_tie) is bool
+            assert type(r.worst_entry) is tuple
+            assert [type(i) for i in r.worst_entry] == [int, int]
+
+
+def loop_gradcheck(samples, t_range, tol_rel, seed, abs_floor):
+    """gradcheck as it was written with a per-row loop of numpy reductions:
+    the reference for the whole-array reductions, which must give the same
+    reports, field types included."""
+    rng = np.random.default_rng(seed)
+    reports = []
+    for t in range(t_range[0], t_range[1] + 1):
+        for kind in ALL_KINDS:
+            z = rng.uniform(-8.0, 8.0, size=(samples, t))
+            ties = _tie_rows(z, kind, FD_STEP)
+            analytic = _jacobian_full_rows(z, kind, DEFAULT_EPS)
+            fd = _fd_full_rows(z, kind, DEFAULT_EPS, FD_STEP)
+            abs_err = np.abs(analytic - fd)
+            denom = np.maximum(np.abs(analytic), np.abs(fd))
+            rel = np.divide(abs_err, denom, out=np.zeros_like(abs_err), where=denom > 0)
+            eff_rel = np.where(abs_err <= abs_floor, 0.0, rel)
+            for i in range(samples):
+                if ties[i]:
+                    reports.append(GradCheckReport(
+                        kind=kind, t=t, sample=i, max_abs_err=0.0, max_rel_err=0.0,
+                        worst_entry=(0, 0), passed=True, skipped_tie=True))
+                    continue
+                worst_flat = int(np.argmax(eff_rel[i]))
+                worst = (worst_flat // t, worst_flat % t)
+                max_rel = float(eff_rel[i].max())
+                reports.append(GradCheckReport(
+                    kind=kind, t=t, sample=i,
+                    max_abs_err=float(abs_err[i].max()),
+                    max_rel_err=max_rel,
+                    worst_entry=worst,
+                    passed=bool(max_rel <= tol_rel),
+                    skipped_tie=False))
+    return reports
 
 
 class TestWeightVjp:

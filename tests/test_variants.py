@@ -16,7 +16,7 @@ from sasoftmax import (
     NonFiniteInput,
     VariantKind,
     apply_variant,
-    row_extrema,
+    masked_extrema,
     softmax_row,
 )
 
@@ -73,25 +73,21 @@ class TestSoftmaxRow:
         assert out.weights[0] == 1.0 and out.weights[1] == 0.0
 
 
-class TestRowExtrema:
+class TestMaskedExtrema:
     def test_masked_entry_excluded(self):
-        ex = row_extrema(LogitRow([3.0, 1.0, 5.0], 2))
-        assert (ex.min_val, ex.argmin) == (1.0, 1)
-        assert (ex.max_val, ex.argmax) == (3.0, 0)
+        mn, mx, amin, amax = masked_extrema(np.array([3.0, 1.0, 5.0]), np.array([True, True, False]))
+        assert (mn, amin) == (1.0, 1)
+        assert (mx, amax) == (3.0, 0)
 
     def test_tie_goes_to_lowest_index(self):
-        ex = row_extrema(LogitRow([2.0, 2.0], 2))
-        assert ex.argmin == 0 and ex.argmax == 0
-        assert ex.min_val == ex.max_val == 2.0
+        mn, mx, amin, amax = masked_extrema(np.array([2.0, 2.0]), np.array([True, True]))
+        assert amin == 0 and amax == 0
+        assert mn == mx == 2.0
 
     def test_singleton(self):
-        ex = row_extrema(LogitRow([-4.0], 1))
-        assert ex.min_val == ex.max_val == -4.0
-        assert ex.argmin == ex.argmax == 0
-
-    def test_empty_row_rejected(self):
-        with pytest.raises(EmptyRow):
-            row_extrema(LogitRow([1.0, 2.0], 0))
+        mn, mx, amin, amax = masked_extrema(np.array([-4.0, 9.0]), np.array([True, False]))
+        assert mn == mx == -4.0
+        assert amin == amax == 0
 
 
 class TestApplyVariant:
