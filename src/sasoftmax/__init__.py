@@ -20,13 +20,10 @@ from .errors import (
 from .variants import (
     ALL_KINDS,
     DEFAULT_EPS,
-    LogitRow,
-    ScoreRow,
     VariantKind,
     apply_variant,
     masked_extrema,
     masked_softmax,
-    softmax_row,
     variant_scaler,
     variant_weights,
 )

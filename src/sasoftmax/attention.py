@@ -57,10 +57,8 @@ class AttentionCache:
     scaler: _Scaler | None
     weights: np.ndarray
     mask: np.ndarray
-    kind: VariantKind
     eps: float
     scale: float
-    rope: bool
     rope_base: float
     cos: np.ndarray | None
     sin: np.ndarray | None
@@ -165,8 +163,8 @@ def attention_forward(inp: AttentionInput) -> tuple[np.ndarray, AttentionCache]:
     out = weights @ v
     cache = AttentionCache(
         q_rot=q_rot, k_rot=k_rot, v=v, scores=scores, softmax=softmax, scaler=scaler,
-        weights=weights, mask=mask, kind=inp.kind, eps=inp.eps,
-        scale=1.0 / np.sqrt(float(q.shape[-1])), rope=inp.rope, rope_base=inp.rope_base,
+        weights=weights, mask=mask, eps=inp.eps,
+        scale=1.0 / np.sqrt(float(q.shape[-1])), rope_base=inp.rope_base,
         cos=cos, sin=sin, has_bias=inp.bias is not None,
     )
     return out, cache
@@ -189,7 +187,7 @@ def attention_backward(cache: AttentionCache, d_out: np.ndarray) -> AttentionGra
 
     dq_rot = (dz @ cache.k_rot) * cache.scale
     dk_rot = (np.swapaxes(dz, -1, -2) @ cache.q_rot) * cache.scale
-    if cache.rope:
+    if cache.cos is not None:
         dq = _rotate_back(dq_rot, cache.cos, cache.sin)
         dk = _rotate_back(dk_rot, cache.cos, cache.sin)
     else:

@@ -34,6 +34,7 @@ from .errors import (
 from .jacobians import gradcheck, reports_to_json
 from .microlm import (
     TrainConfig,
+    _atomic_write,
     _is_json,
     attention_maps,
     evaluate_ppl,
@@ -153,12 +154,6 @@ def effective_config(command: str, args: argparse.Namespace) -> dict:
     if missing:
         raise ConfigError(f"missing required option(s): {', '.join('--' + m for m in missing)}")
     return merged
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
 
 
 def _write_config_echo(out_dir: Path, command: str, merged: dict) -> None:

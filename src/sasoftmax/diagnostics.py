@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, EmptyHistory, LengthMismatch, _require_positive
-from .microlm import RunMetrics, TrainConfig
-from .variants import ALL_KINDS, DEFAULT_EPS, LogitRow, VariantKind
+from .microlm import RunMetrics, TrainConfig, _atomic_write
+from .variants import ALL_KINDS, DEFAULT_EPS, VariantKind
 from .jacobians import variant_jacobian
 
 PROFILES = ("one_peak", "one_trough", "uniform")
@@ -71,7 +71,7 @@ def saturation_sweep(spec: SweepSpec, eps: float = DEFAULT_EPS) -> list[SweepRec
     kinds = tuple(k for k in ALL_KINDS if k in set(spec.kinds))
     records = []
     for g in sorted(spec.gaps):
-        z = LogitRow(profile_row(spec.profile, g, spec.t), spec.t)
+        z = profile_row(spec.profile, g, spec.t)
         for kind in kinds:
             jac = variant_jacobian(z, kind, eps).entries
             records.append(SweepRecord(
@@ -167,8 +167,6 @@ def dump_attention(layer_weights: list[np.ndarray], out_dir,
             raise ValueError(f"layer {i} attention weights contain NaN or Inf")
         body = "".join(",".join("%.17g" % x for x in row) + "\n" for row in w)
         path = out_dir / f"{prefix}{i}.csv"
-        tmp = path.with_suffix(".csv.tmp")
-        tmp.write_text(body, encoding="ascii")
-        tmp.replace(path)
+        _atomic_write(path, body)
         paths.append(path)
     return paths

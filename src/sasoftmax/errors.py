@@ -9,7 +9,7 @@ class SaSoftmaxError(Exception):
 
 
 class EmptyRow(SaSoftmaxError):
-    """A row operation received valid_len < 1."""
+    """A row operation received a logit row with no entries."""
 
 
 class NonFiniteInput(SaSoftmaxError):

@@ -29,7 +29,6 @@ from .errors import ConfigError, _require_positive
 from .variants import (
     DEFAULT_EPS,
     ALL_KINDS,
-    LogitRow,
     VariantKind,
     _Scaler,
     _checked_values,
@@ -44,13 +43,9 @@ ABS_FLOOR = 1e-9
 
 @dataclass(frozen=True)
 class JacobianBlock:
-    """Dense T x T matrix with entries[j][k] = dweight_j/dlogit_k.
-
-    Rows and columns at indices >= valid_len are exactly 0.
-    """
+    """Dense T x T matrix with entries[j][k] = dweight_j/dlogit_k."""
 
     entries: np.ndarray
-    valid_len: int
 
 
 @dataclass(frozen=True)
@@ -104,30 +99,19 @@ def _jacobian_full_rows(z: np.ndarray, kind: VariantKind, eps: float) -> np.ndar
     return jac
 
 
-def _embed_block(block: np.ndarray, total: int) -> np.ndarray:
-    v = block.shape[0]
-    out = np.zeros((total, total))
-    out[:v, :v] = block
-    return out
-
-
-def variant_jacobian(z: LogitRow, kind: VariantKind, eps: float = DEFAULT_EPS) -> JacobianBlock:
+def variant_jacobian(z, kind: VariantKind, eps: float = DEFAULT_EPS) -> JacobianBlock:
     """Closed-form Jacobian of apply_variant with respect to the logit row."""
     values = _checked_values(z)
-    live = values[: z.valid_len][np.newaxis, :]
-    block = _jacobian_full_rows(live, kind, eps)[0]
-    return JacobianBlock(entries=_embed_block(block, values.shape[0]), valid_len=z.valid_len)
+    return JacobianBlock(entries=_jacobian_full_rows(values[np.newaxis, :], kind, eps)[0])
 
 
-def fd_jacobian(z: LogitRow, kind: VariantKind, eps: float = DEFAULT_EPS,
+def fd_jacobian(z, kind: VariantKind, eps: float = DEFAULT_EPS,
                 h: float = FD_STEP) -> JacobianBlock:
-    """Central-difference Jacobian oracle; perturbs live entries only."""
+    """Central-difference Jacobian oracle of apply_variant."""
     _require_positive("h", h)
     _require_positive("eps", eps)
     values = _checked_values(z)
-    live = values[: z.valid_len][np.newaxis, :]
-    block = _fd_full_rows(live, kind, eps, h)[0]
-    return JacobianBlock(entries=_embed_block(block, values.shape[0]), valid_len=z.valid_len)
+    return JacobianBlock(entries=_fd_full_rows(values[np.newaxis, :], kind, eps, h)[0])
 
 
 def _tie_rows(z: np.ndarray, kind: VariantKind, h: float) -> np.ndarray:
@@ -178,6 +162,8 @@ def gradcheck(samples: int, t_range: tuple[int, int] = (1, 8),
     kinds = tuple(k for k in ALL_KINDS if k in set(kinds))
     if not kinds:
         raise ConfigError("kinds must be non-empty")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
     reports: list[GradCheckReport] = []

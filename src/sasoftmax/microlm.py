@@ -489,6 +489,14 @@ _MANIFEST_TYPES = {
 }
 
 
+def _atomic_write(path: Path, data: str | bytes) -> None:
+    """Write the whole file to <name>.tmp, then rename it over ``path``, so a
+    reader never sees a partial file. Text is written as UTF-8."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+    tmp.replace(path)
+
+
 def save_checkpoint(path: str | Path, params: dict, cfg: TrainConfig,
                     vocab: Vocabulary) -> None:
     """Single binary blob: magic, manifest length, JSON manifest, raw float64
@@ -502,9 +510,7 @@ def save_checkpoint(path: str | Path, params: dict, cfg: TrainConfig,
     }
     payload = json.dumps(manifest, sort_keys=True).encode("utf-8")
     blob = b"".join(np.ascontiguousarray(params[n], dtype="<f8").tobytes() for n in params)
-    tmp = Path(str(path) + ".tmp")
-    tmp.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(payload)) + payload + blob)
-    tmp.replace(path)
+    _atomic_write(Path(path), CHECKPOINT_MAGIC + struct.pack("<Q", len(payload)) + payload + blob)
 
 
 def _is_json(value, want: type) -> bool:

@@ -10,15 +10,16 @@ per-row lo and d:
     v3:        lo = x_min,          d = x_max - x_min + eps
     v4:        lo = min(x_min, 0),  d = max(x_max, 0) - lo + eps
 
-Extrema are taken over the unmasked (causal) entries only, ties resolve to
-the lowest index, and masked positions are forced to exactly 0 in every
-output. All arithmetic is 64-bit.
+The batched kernels take scores of shape (..., T) with a boolean mask of
+live (causal) positions: extrema are taken over the live entries only, ties
+resolve to the lowest index, and masked positions are forced to exactly 0 in
+every output. The single-row API (apply_variant, and the Jacobians built on
+it) takes one row of live logits and no mask. All arithmetic is 64-bit.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -50,45 +51,22 @@ class VariantKind(enum.Enum):
 ALL_KINDS = tuple(VariantKind)
 
 
-@dataclass(frozen=True)
-class LogitRow:
-    """Pre-softmax scores for one query position.
-
-    Only the first ``valid_len`` entries are live; the tail is masked and
-    ignored by every operation.
-    """
-
-    values: np.ndarray
-    valid_len: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if self.values.ndim != 1:
-            raise ValueError(f"logit row must be 1-D, got shape {self.values.shape}")
-
-
-@dataclass(frozen=True)
-class ScoreRow:
-    """Post-variant attention weights; entries at index >= valid_len are exactly 0."""
-
-    weights: np.ndarray
-    valid_len: int
-
-
-def _checked_values(z: LogitRow) -> np.ndarray:
-    if z.valid_len < 1:
-        raise EmptyRow(f"valid_len must be >= 1, got {z.valid_len}")
-    if z.valid_len > z.values.shape[0]:
-        raise ValueError(f"valid_len {z.valid_len} exceeds row length {z.values.shape[0]}")
-    if not np.all(np.isfinite(z.values[: z.valid_len])):
-        raise NonFiniteInput("unmasked logit entries must be finite")
-    return z.values
+def _checked_values(z) -> np.ndarray:
+    """One row of live logits as a float64 array, checked for shape and values."""
+    values = np.asarray(z, dtype=np.float64)
+    if values.ndim != 1:
+        raise ValueError(f"logit row must be 1-D, got shape {values.shape}")
+    if values.shape[0] < 1:
+        raise EmptyRow("logit row must have at least one entry")
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteInput("logit entries must be finite")
+    return values
 
 
 # ---------------------------------------------------------------------------
 # Masked array kernels. These operate on arrays of shape (..., T) with a
-# boolean mask of live positions and are shared by the row API, the attention
-# layer, and the batched trainer, so all paths compute identical values.
+# boolean mask of live positions and are shared by the row API and the
+# attention layer, so all paths compute identical values.
 # ---------------------------------------------------------------------------
 
 def masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -189,25 +167,11 @@ def variant_weights(scores: np.ndarray, mask: np.ndarray, kind: VariantKind,
 
 
 # ---------------------------------------------------------------------------
-# Single-row API.
+# Single-row API: one row of live logits, no mask.
 # ---------------------------------------------------------------------------
 
-def _row_mask(total: int, valid_len: int) -> np.ndarray:
-    mask = np.zeros(total, dtype=bool)
-    mask[:valid_len] = True
-    return mask
-
-
-def softmax_row(z: LogitRow) -> ScoreRow:
-    """Baseline softmax of the live entries; masked tail exactly 0."""
-    values = _checked_values(z)
-    w = masked_softmax(values, _row_mask(values.shape[0], z.valid_len))
-    return ScoreRow(weights=w, valid_len=z.valid_len)
-
-
-def apply_variant(z: LogitRow, kind: VariantKind, eps: float = DEFAULT_EPS) -> ScoreRow:
-    """Evaluate the selected scoring function on one causally masked row."""
+def apply_variant(z, kind: VariantKind, eps: float = DEFAULT_EPS) -> np.ndarray:
+    """The selected scoring function's weights for one row of live logits."""
     _require_positive("eps", eps)
     values = _checked_values(z)
-    w = variant_weights(values, _row_mask(values.shape[0], z.valid_len), kind, eps)
-    return ScoreRow(weights=w, valid_len=z.valid_len)
+    return variant_weights(values, np.ones(values.shape, dtype=bool), kind, eps)

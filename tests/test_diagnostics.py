@@ -126,8 +126,8 @@ class TestDumpAttention:
     def test_negative_weight_survives(self, tmp_path):
         # v1 weights are negative when all live logits sit below -1; the dump
         # must carry the sign through
-        from sasoftmax import LogitRow, apply_variant
-        row = apply_variant(LogitRow([-10.0, -1.0], 2), VariantKind.V1).weights
+        from sasoftmax import apply_variant
+        row = apply_variant([-10.0, -1.0], VariantKind.V1)
         weights = np.array([[1.0, 0.0], row])
         (path,) = dump_attention([weights], tmp_path)
         body = path.read_text()

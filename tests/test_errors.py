@@ -6,7 +6,6 @@ import pytest
 
 from sasoftmax import (
     ConfigError,
-    LogitRow,
     SaSoftmaxError,
     SweepSpec,
     TrainConfig,
@@ -18,7 +17,7 @@ from sasoftmax import (
 )
 
 NAN, INF = float("nan"), float("inf")
-ROW = LogitRow([1.0, 2.0], 2)
+ROW = [1.0, 2.0]
 SPEC = SweepSpec(gaps=(2.0,), t=2)
 
 BAD_SETTINGS = {
@@ -41,6 +40,7 @@ BAD_SETTINGS = {
     "gradcheck_tol_nan": lambda: gradcheck(samples=1, tol_rel=NAN),
     "gradcheck_tol_inf": lambda: gradcheck(samples=1, tol_rel=INF),
     "gradcheck_kinds": lambda: gradcheck(samples=1, kinds=()),
+    "gradcheck_seed_neg": lambda: gradcheck(samples=1, t_range=(1, 2), seed=-1),
 }
 
 
