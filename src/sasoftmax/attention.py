@@ -158,6 +158,8 @@ def attention_forward(inp: AttentionInput) -> tuple[np.ndarray, AttentionCache]:
         cos = sin = None
         q_rot, k_rot = q, k
     scores = scaled_scores(q_rot, k_rot, inp.bias)
+    if not np.all(np.isfinite(scores)):
+        raise NonFiniteInput("attention scores contain NaN or Inf")
     mask = causal_mask(q.shape[-2])
     softmax, scaler, weights = _weights(scores, mask, inp.kind, inp.eps)
     out = weights @ v

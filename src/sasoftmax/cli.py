@@ -24,13 +24,7 @@ from .diagnostics import (
     saturation_sweep,
     sweep_to_csv,
 )
-from .errors import (
-    ConfigError,
-    SaSoftmaxError,
-    TextTooShort,
-    UnknownSymbol,
-    _require_positive,
-)
+from .errors import ConfigError, SaSoftmaxError, TextTooShort, UnknownSymbol
 from .jacobians import gradcheck, reports_to_json
 from .microlm import (
     TrainConfig,
@@ -174,24 +168,15 @@ def _resolve_corpus(value: str) -> Path:
 
 
 def run_gradcheck(merged: dict) -> int:
-    if merged["samples"] < 1:
-        raise ConfigError(f"--samples must be >= 1, got {merged['samples']}")
-    if not 1 <= merged["tmin"] <= merged["tmax"]:
-        raise ConfigError(f"--tmin/--tmax must satisfy 1 <= tmin <= tmax, "
-                          f"got {merged['tmin']}..{merged['tmax']}")
-    _require_positive("--tol-rel", merged["tol_rel"])
-    if merged["seed"] < 0:
-        raise ConfigError(f"--seed must be >= 0, got {merged['seed']}")
-    kinds = _parse_kinds(merged["kinds"])
-    out_dir = Path(merged["out"])
-    _write_config_echo(out_dir, "gradcheck", merged)
     reports = gradcheck(
         samples=merged["samples"],
         t_range=(merged["tmin"], merged["tmax"]),
-        kinds=kinds,
+        kinds=_parse_kinds(merged["kinds"]),
         tol_rel=merged["tol_rel"],
         seed=merged["seed"],
     )
+    out_dir = Path(merged["out"])
+    _write_config_echo(out_dir, "gradcheck", merged)
     _atomic_write(out_dir / "gradcheck.json", reports_to_json(reports) + "\n")
     checked = [r for r in reports if not r.skipped_tie]
     skipped = len(reports) - len(checked)
@@ -245,9 +230,9 @@ def run_eval(merged: dict) -> int:
     params, cfg, vocab = load_checkpoint(ckpt_path)
     if merged["seq_len"] != 0:
         cfg = replace(cfg, seq_len=merged["seq_len"])
+    ppl = evaluate_ppl(params, cfg, vocab, text_path.read_bytes())
     out_dir = Path(merged["out"])
     _write_config_echo(out_dir, "eval", merged)
-    ppl = evaluate_ppl(params, cfg, vocab, text_path.read_bytes())
     doc = json.dumps({"ppl": ppl})
     _atomic_write(out_dir / "eval.json", doc + "\n")
     print(doc)
@@ -259,10 +244,7 @@ def run_dump(merged: dict) -> int:
     if not ckpt_path.is_file():
         raise ConfigError(f"checkpoint not found: {ckpt_path}")
     params, cfg, vocab = load_checkpoint(ckpt_path)
-    try:
-        maps = attention_maps(params, cfg, vocab, merged["prompt"])
-    except (UnknownSymbol, TextTooShort) as exc:  # the errors a bad --prompt causes
-        raise ConfigError(str(exc)) from None
+    maps = attention_maps(params, cfg, vocab, merged["prompt"])
     out_dir = Path(merged["out"])
     _write_config_echo(out_dir, "dump", merged)
     paths = dump_attention(maps, out_dir)
@@ -321,7 +303,8 @@ def main(argv=None) -> int:
     try:
         merged = effective_config(args.command, args)
         return RUNNERS[args.command](merged)
-    except ConfigError as exc:
+    except (ConfigError, UnknownSymbol, TextTooShort) as exc:
+        # the last two are what a bad --text or --prompt causes
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SaSoftmaxError, OSError) as exc:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, EmptyHistory, LengthMismatch, _require_positive
+from .errors import ConfigError, EmptyHistory, LengthMismatch
 from .microlm import RunMetrics, TrainConfig, _atomic_write
 from .variants import ALL_KINDS, DEFAULT_EPS, VariantKind
 from .jacobians import variant_jacobian
@@ -67,7 +67,6 @@ def profile_row(profile: str, g: float, t: int) -> np.ndarray:
 
 def saturation_sweep(spec: SweepSpec, eps: float = DEFAULT_EPS) -> list[SweepRecord]:
     """One record per (g, kind), ordered by g ascending then variant order."""
-    _require_positive("eps", eps)
     kinds = tuple(k for k in ALL_KINDS if k in set(spec.kinds))
     records = []
     for g in sorted(spec.gaps):
@@ -152,8 +151,7 @@ def saturated_probe_config(corpus_path, kind: VariantKind, seed: int = 0,
 # Attention-map dumps.
 # ---------------------------------------------------------------------------
 
-def dump_attention(layer_weights: list[np.ndarray], out_dir,
-                   prefix: str = "attention_layer") -> list[Path]:
+def dump_attention(layer_weights: list[np.ndarray], out_dir) -> list[Path]:
     """Write one CSV per layer (row-major, masked entries 0, %.17g formatting).
 
     Writes are whole-file atomic and byte-deterministic for equal inputs.
@@ -166,7 +164,7 @@ def dump_attention(layer_weights: list[np.ndarray], out_dir,
         if not np.all(np.isfinite(w)):
             raise ValueError(f"layer {i} attention weights contain NaN or Inf")
         body = "".join(",".join("%.17g" % x for x in row) + "\n" for row in w)
-        path = out_dir / f"{prefix}{i}.csv"
+        path = out_dir / f"attention_layer{i}.csv"
         _atomic_write(path, body)
         paths.append(path)
     return paths

@@ -13,7 +13,8 @@ class EmptyRow(SaSoftmaxError):
 
 
 class NonFiniteInput(SaSoftmaxError):
-    """An unmasked input entry is NaN or infinite."""
+    """An input entry is NaN or infinite, or finite inputs overflowed: the
+    attention scores, or a perplexity that is not finite."""
 
 
 class ShapeMismatch(SaSoftmaxError):

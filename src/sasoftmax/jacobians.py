@@ -11,11 +11,12 @@ and the first routes gradient through the scaler:
     dc[j][k] = (1[j=k] - dlo/dz_k) / d  -  c_j / d * dd/dz_k
 
 lo and d follow at most the row's min and max, so dlo/dz and dd/dz are
-nonzero only at the argmin/argmax (the lowest tied index). Their values per
-kind, the gates, come from variants._scaler, which both the batched VJP and
-the closed form read. The v4 clamps min(x_min, 0) / max(x_max, 0) pass
-gradient only while strictly active (x_min < 0, x_max > 0); at the boundary
-the constant branch owns the derivative.
+nonzero only at the argmin/argmax (the lowest tied index). Where d is not
+constant it is hi - lo + eps, so dd/dz = dhi/dz - dlo/dz. The two gates
+dlo/dz[argmin] and dhi/dz[argmax] per kind come from variants._scaler, which
+both the batched VJP and the closed form read. The v4 clamps min(x_min, 0) /
+max(x_max, 0) pass gradient only while strictly active (x_min < 0,
+x_max > 0); at the boundary the constant branch owns the derivative.
 """
 
 from __future__ import annotations
@@ -88,14 +89,15 @@ def _jacobian_full_rows(z: np.ndarray, kind: VariantKind, eps: float) -> np.ndar
         return jac
 
     # Scaler part dc[j][k] * s_j with c = (z - lo) / d: the identity term,
-    # then the lo and d gates in the argmin/argmax columns of each row.
+    # then the lo gate and d's two gates (hi, -lo) in the argmin/argmax
+    # columns of each row.
     jac[:, diag, diag] += s / sc.d
     if sc.lo_at_min is not None:
         _sub_at(jac, sc.amin[:, np.newaxis], (sc.lo_at_min * s / sc.d)[..., np.newaxis])
-    if sc.d_at_max is not None:
+    if sc.hi_at_max is not None:
         quot = sc.u * s / (sc.d * sc.d)
-        _sub_at(jac, sc.amax[:, np.newaxis], (sc.d_at_max * quot)[..., np.newaxis])
-        _sub_at(jac, sc.amin[:, np.newaxis], (sc.d_at_min * quot)[..., np.newaxis])
+        _sub_at(jac, sc.amax[:, np.newaxis], (sc.hi_at_max * quot)[..., np.newaxis])
+        _sub_at(jac, sc.amin[:, np.newaxis], (-sc.lo_at_min * quot)[..., np.newaxis])
     return jac
 
 
@@ -108,8 +110,6 @@ def variant_jacobian(z, kind: VariantKind, eps: float = DEFAULT_EPS) -> Jacobian
 def fd_jacobian(z, kind: VariantKind, eps: float = DEFAULT_EPS,
                 h: float = FD_STEP) -> JacobianBlock:
     """Central-difference Jacobian oracle of apply_variant."""
-    _require_positive("h", h)
-    _require_positive("eps", eps)
     values = _checked_values(z)
     return JacobianBlock(entries=_fd_full_rows(values[np.newaxis, :], kind, eps, h)[0])
 
@@ -129,6 +129,7 @@ def _tie_rows(z: np.ndarray, kind: VariantKind, h: float) -> np.ndarray:
 
 def _fd_full_rows(z: np.ndarray, kind: VariantKind, eps: float, h: float) -> np.ndarray:
     """Batched central differences for fully live rows. z: (N, T) -> (N, T, T)."""
+    _require_positive("h", h)
     n, t = z.shape
     mask = np.ones_like(z, dtype=bool)
     out = np.empty((n, t, t))
@@ -235,15 +236,15 @@ def _weight_vjp(mask: np.ndarray, grad_w: np.ndarray, s: np.ndarray,
         return np.where(mask, gs - s * np.sum(gs, axis=-1, keepdims=True), 0.0)
 
     # Softmax part s_k * (g_k c_k - sum_j g_j w_j), then the scaler's
-    # identity term and its lo and d gates.
+    # identity term, its lo gate and d's two gates (hi, -lo).
     gw = g * w
     gw_sum = np.sum(gw, axis=-1, keepdims=True)
     dz = gw - s * gw_sum + gs / sc.d
     if sc.lo_at_min is not None:
         _sub_at(dz, sc.amin, sc.lo_at_min * np.sum(gs, axis=-1, keepdims=True) / sc.d)
-    if sc.d_at_max is not None:
+    if sc.hi_at_max is not None:
         # sum_j g_j s_j u_j / d^2 = gw_sum / d
         quot = gw_sum / sc.d
-        _sub_at(dz, sc.amax, sc.d_at_max * quot)
-        _sub_at(dz, sc.amin, sc.d_at_min * quot)
+        _sub_at(dz, sc.amax, sc.hi_at_max * quot)
+        _sub_at(dz, sc.amin, -sc.lo_at_min * quot)
     return np.where(mask, dz, 0.0)

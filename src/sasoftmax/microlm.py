@@ -26,6 +26,7 @@ from .errors import (
     ConfigError,
     CorpusTooSmall,
     NonFiniteGradient,
+    NonFiniteInput,
     ShapeMismatch,
     TextTooShort,
     UnknownSymbol,
@@ -125,16 +126,11 @@ def load_corpus(path: str | Path) -> tuple[np.ndarray, Vocabulary]:
 # Parameters.
 # ---------------------------------------------------------------------------
 
-def layer_param_names(layer: int) -> list[str]:
-    pre = f"h{layer}."
-    return [pre + n for n in
-            ("ln1.g", "ln1.b", "wq", "wk", "wv", "wo", "ln2.g", "ln2.b", "w1", "w2")]
-
-
 def param_names(cfg: TrainConfig) -> list[str]:
     names = ["embed"]
     for i in range(cfg.layers):
-        names.extend(layer_param_names(i))
+        names.extend(f"h{i}.{n}" for n in
+                     ("ln1.g", "ln1.b", "wq", "wk", "wv", "wo", "ln2.g", "ln2.b", "w1", "w2"))
     names.extend(["lnf.g", "lnf.b"])
     return names
 
@@ -436,7 +432,8 @@ def evaluate_ppl(params: dict, cfg: TrainConfig, vocab: Vocabulary,
     """exp(mean next-token cross-entropy) over non-overlapping windows.
 
     Windows advance by seq_len so every position is predicted at most once;
-    a trailing fragment shorter than one window is dropped.
+    a trailing fragment shorter than one window is dropped. A perplexity that
+    is not finite raises NonFiniteInput.
     """
     data = text.encode("utf-8") if isinstance(text, str) else bytes(text)
     ids = vocab.encode(data)
@@ -447,7 +444,10 @@ def evaluate_ppl(params: dict, cfg: TrainConfig, vocab: Vocabulary,
     starts = np.arange(n_windows) * t
     idx = starts[:, np.newaxis] + np.arange(t)[np.newaxis, :]
     loss, _ = _forward(params, ids[idx], ids[idx + 1], cfg, keep=False)
-    return float(np.exp(loss))
+    ppl = float(np.exp(loss))
+    if not math.isfinite(ppl):
+        raise NonFiniteInput(f"perplexity is not finite (mean loss {loss})")
+    return ppl
 
 
 def attention_maps(params: dict, cfg: TrainConfig, vocab: Vocabulary,

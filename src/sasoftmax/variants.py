@@ -101,19 +101,19 @@ class _Scaler(NamedTuple):
     """A self-adjusting scaler c = u / d with u = x - lo, and its derivative.
 
     ``u`` has the shape of the scores and is 0 on masked entries. Everything
-    else is per row, with a trailing axis of length 1; ``d`` is the float 1.0
-    where it is constant. lo and d follow at most the row's live min and max,
-    so their gradients are three gates: dlo/dx[amin], dd/dx[amin] and
-    dd/dx[amax]. A gate is None where lo (or d) is constant.
+    else is per row, with a trailing axis of length 1, or a float where it is
+    the same for every row. lo and hi follow at most the row's live min and
+    max, so their gradients are two gates: dlo/dx[amin] and dhi/dx[amax]. A
+    gate is None where lo (or d) is constant; otherwise d = hi - lo + eps, so
+    dd/dx[amin] = -dlo/dx[amin].
     """
 
     u: np.ndarray
     d: np.ndarray | float
     amin: np.ndarray | None = None
     amax: np.ndarray | None = None
-    lo_at_min: np.ndarray | None = None
-    d_at_min: np.ndarray | None = None
-    d_at_max: np.ndarray | None = None
+    lo_at_min: np.ndarray | float | None = None
+    hi_at_max: np.ndarray | float | None = None
 
 
 def _scaler(scores: np.ndarray, mask: np.ndarray, kind: VariantKind, eps: float) -> _Scaler:
@@ -121,11 +121,10 @@ def _scaler(scores: np.ndarray, mask: np.ndarray, kind: VariantKind, eps: float)
     if kind is VariantKind.V1:
         return _Scaler(np.where(mask, scores, 0.0), 1.0)
     mn, mx, amin, amax = (a[..., np.newaxis] for a in masked_extrema(scores, mask))
-    ones = np.ones_like(mn)
     if kind is VariantKind.V2:
-        return _Scaler(np.where(mask, scores - mn, 0.0), 1.0, amin, amax, ones)
+        return _Scaler(np.where(mask, scores - mn, 0.0), 1.0, amin, amax, 1.0)
     if kind is VariantKind.V3:
-        lo, hi, lo_live, hi_live = mn, mx, ones, ones
+        lo, hi, lo_live, hi_live = mn, mx, 1.0, 1.0
     elif kind is VariantKind.V4:
         # the clamps own the derivative only while strictly active
         lo, hi = np.minimum(mn, 0.0), np.maximum(mx, 0.0)
@@ -134,7 +133,7 @@ def _scaler(scores: np.ndarray, mask: np.ndarray, kind: VariantKind, eps: float)
     else:
         raise ValueError(f"unhandled kind {kind}")
     return _Scaler(np.where(mask, scores - lo, 0.0), hi - lo + eps, amin, amax,
-                   lo_live, -lo_live, hi_live)
+                   lo_live, hi_live)
 
 
 def variant_scaler(scores: np.ndarray, mask: np.ndarray, kind: VariantKind,
@@ -143,6 +142,7 @@ def variant_scaler(scores: np.ndarray, mask: np.ndarray, kind: VariantKind,
 
     Masked entries are returned as 0 (their value is never used).
     """
+    _require_positive("eps", eps)
     if kind is VariantKind.BASELINE:
         return np.where(mask, 1.0, 0.0)
     sc = _scaler(scores, mask, kind, eps)
@@ -152,7 +152,10 @@ def variant_scaler(scores: np.ndarray, mask: np.ndarray, kind: VariantKind,
 def _weights(scores: np.ndarray, mask: np.ndarray, kind: VariantKind,
              eps: float) -> tuple[np.ndarray, _Scaler | None, np.ndarray]:
     """(softmax, scaler, weights): the weights and the two factors their VJP
-    reads. The scaler is None for the baseline, whose weights are the softmax."""
+    reads. The scaler is None for the baseline, whose weights are the softmax.
+
+    Every scoring path runs this or variant_scaler, so eps is checked here."""
+    _require_positive("eps", eps)
     s = masked_softmax(scores, mask)
     if kind is VariantKind.BASELINE:
         return s, None, s
@@ -172,6 +175,5 @@ def variant_weights(scores: np.ndarray, mask: np.ndarray, kind: VariantKind,
 
 def apply_variant(z, kind: VariantKind, eps: float = DEFAULT_EPS) -> np.ndarray:
     """The selected scoring function's weights for one row of live logits."""
-    _require_positive("eps", eps)
     values = _checked_values(z)
     return variant_weights(values, np.ones(values.shape, dtype=bool), kind, eps)

@@ -103,7 +103,8 @@ class TestGradcheckCommand:
     def test_zero_samples_is_config_error(self, tmp_path, capsys):
         rc = main(["gradcheck", "--samples", "0", "--out", str(tmp_path / "x")])
         assert rc == 2
-        assert "--samples" in capsys.readouterr().err
+        assert "samples must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_rerun_byte_identical(self, tmp_path):
         args = ["gradcheck", "--samples", "10", "--tmax", "3", "--seed", "7"]
@@ -114,6 +115,7 @@ class TestGradcheckCommand:
 
     @pytest.mark.parametrize("flags", [
         ["--seed", "-1"],
+        ["--tmin", "3"],
         ["--tol-rel", "nan"],
         ["--tol-rel", "inf"],
         ["--tol-rel", "0"],
@@ -288,27 +290,52 @@ class TestEvalCommand:
 
 class TestDumpCommand:
     def test_bad_prompt_is_config_error(self, trained_dir, tmp_path, capsys):
-        for i, prompt in enumerate(("", "the \x07")):  # TextTooShort, UnknownSymbol
-            out = tmp_path / f"dump{i}"
+        """A bad --prompt to dump, or --text to eval, exits 2 without output."""
+        ckpt = str(trained_dir / "checkpoint.bin")
+        runs = [["dump", "--prompt", prompt]
+                for prompt in ("", "the \x07")]  # TextTooShort, UnknownSymbol
+        for name, body in (("unknown.txt", b"the river\x07 and the stone\n" * 3),
+                           ("short.txt", b"the")):  # the checkpoint's window is 8
+            (tmp_path / name).write_bytes(body)
+            runs.append(["eval", "--text", str(tmp_path / name)])
+        for i, (command, *source) in enumerate(runs):
+            out = tmp_path / f"out{i}"
             capsys.readouterr()
-            rc = main(["dump", "--checkpoint", str(trained_dir / "checkpoint.bin"),
-                       "--prompt", prompt, "--out", str(out)])
+            rc = main([command, "--checkpoint", ckpt, *source, "--out", str(out)])
             assert_config_error(rc, capsys, out)
 
     def test_other_library_error_keeps_exit_1(self, trained_dir, tmp_path, capsys):
-        # finite weights whose query projection overflows: ln1's output sums
-        # to about d_model, so every q entry is about 8e308 = inf
+        text = tmp_path / "t.txt"
+        text.write_text("the river and the stone and the light.\n" * 3)
         params, cfg, vocab = load_checkpoint(trained_dir / "checkpoint.bin")
-        params["h0.ln1.b"][:] = 1.0
-        params["h0.wq"][:] = 1e308
-        save_checkpoint(tmp_path / "huge.bin", params, cfg, vocab)
-        capsys.readouterr()
-        with np.errstate(over="ignore"):
-            rc = main(["dump", "--checkpoint", str(tmp_path / "huge.bin"),
-                       "--prompt", "the", "--out", str(tmp_path / "dump")])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err == "error: NonFiniteInput: q contains NaN or Inf\n"
+        rng = np.random.default_rng(0)
+        cases = [
+            # finite weights whose query projection overflows: ln1's output
+            # sums to about d_model, so every q entry is about 8e308 = inf
+            ("q contains NaN or Inf", {"h0.ln1.b": 1.0, "h0.wq": 1e308}, ["dump"]),
+            # finite q and k whose dot products overflow
+            ("attention scores contain NaN or Inf",
+             {"h0.ln1.b": 1.0, "h0.wq": 1e160, "h0.wk": 1e160}, ["dump", "eval"]),
+            # finite logits whose cross-entropy overflows
+            ("perplexity is not finite",
+             {"lnf.g": 1e307, "embed": rng.normal(size=params["embed"].shape)}, ["eval"]),
+        ]
+        for i, (why, edits, commands) in enumerate(cases):
+            edited = {k: v.copy() for k, v in params.items()}
+            for key, value in edits.items():
+                edited[key][:] = value
+            ckpt = tmp_path / f"edited{i}.bin"
+            save_checkpoint(ckpt, edited, cfg, vocab)
+            for command in commands:
+                source = ["--text", str(text)] if command == "eval" else ["--prompt", "the"]
+                out = tmp_path / f"out{i}-{command}"
+                capsys.readouterr()
+                with np.errstate(over="ignore", invalid="ignore"):
+                    rc = main([command, "--checkpoint", str(ckpt), *source, "--out", str(out)])
+                err = capsys.readouterr().err
+                assert rc == 1
+                assert err.startswith(f"error: NonFiniteInput: {why}") and err.count("\n") == 1
+                assert not out.exists()
 
     def test_singleton_first_row(self, trained_dir, tmp_path):
         out = tmp_path / "dump"

@@ -5,20 +5,29 @@ import numpy as np
 import pytest
 
 from sasoftmax import (
+    AttentionInput,
     ConfigError,
     SaSoftmaxError,
     SweepSpec,
     TrainConfig,
     VariantKind,
     apply_variant,
+    attention_forward,
     fd_jacobian,
     gradcheck,
     saturation_sweep,
+    variant_jacobian,
+    variant_weight_vjp,
+    variant_weights,
 )
 
 NAN, INF = float("nan"), float("inf")
 ROW = [1.0, 2.0]
 SPEC = SweepSpec(gaps=(2.0,), t=2)
+# one live row whose v3 scaler divides by x_max - x_min + eps = 0 at eps = 0
+TIED = np.ones((1, 2))
+LIVE = np.ones((1, 2), dtype=bool)
+V3 = VariantKind.V3
 
 BAD_SETTINGS = {
     "train_lr_nan": lambda: TrainConfig(corpus_path="", lr=NAN),
@@ -37,6 +46,13 @@ BAD_SETTINGS = {
     "variant_eps_nan": lambda: apply_variant(ROW, VariantKind.V3, eps=NAN),
     "fd_h_nan": lambda: fd_jacobian(ROW, VariantKind.V3, h=NAN),
     "fd_eps_inf": lambda: fd_jacobian(ROW, VariantKind.V3, eps=INF),
+    "jacobian_eps_0": lambda: variant_jacobian(ROW, V3, eps=0.0),
+    "weights_eps_0": lambda: variant_weights(TIED, LIVE, V3, eps=0.0),
+    "vjp_eps_0": lambda: variant_weight_vjp(TIED, LIVE, TIED, V3, eps=0.0),
+    "attention_eps_0": lambda: attention_forward(
+        AttentionInput(TIED.T, TIED.T, TIED.T, kind=V3, eps=0.0)),
+    "gradcheck_h_0": lambda: gradcheck(samples=1, h=0.0),
+    "gradcheck_eps_nan": lambda: gradcheck(samples=1, eps=NAN),
     "gradcheck_tol_nan": lambda: gradcheck(samples=1, tol_rel=NAN),
     "gradcheck_tol_inf": lambda: gradcheck(samples=1, tol_rel=INF),
     "gradcheck_kinds": lambda: gradcheck(samples=1, kinds=()),
