@@ -4,12 +4,12 @@
     python3 scripts/artifacts.py OUT
 
 Runs every subcommand in-process through this tree's own src/ (not an
-installed sasoftmax): three short training runs, gradcheck and two sweeps
-with their defaults, and eval and dump on each checkpoint. Each command
-writes its --out directory under OUT and its stdout to <name>.stdout next to
-it. The commands run with OUT as the working directory and read the bundled
-corpus from a copy there, so every path in every config.json is relative and
-two trees' outputs compare with `diff -r`:
+installed sasoftmax): three short training runs, gradcheck and a sweep of
+each profile with their defaults, and eval and dump on each checkpoint. Each
+command writes its --out directory under OUT and its stdout to <name>.stdout
+next to it. The commands run with OUT as the working directory and read the
+bundled corpus from a copy there, so every path in every config.json is
+relative and two trees' outputs compare with `diff -r`:
 
     python3 scripts/artifacts.py /tmp/a   # in one tree
     python3 scripts/artifacts.py /tmp/b   # in the other
@@ -43,6 +43,7 @@ def commands() -> dict[str, list[str]]:
     runs["gradcheck"] = ["gradcheck"]
     runs["sweep-one_peak"] = ["sweep"]
     runs["sweep-one_trough"] = ["sweep", "--profile", "one_trough"]
+    runs["sweep-uniform"] = ["sweep", "--profile", "uniform"]
     for name in TRAIN_RUNS:
         ckpt = f"{name}/checkpoint.bin"
         runs[f"eval-{name}"] = ["eval", "--checkpoint", ckpt, "--text", "corpus.txt"]

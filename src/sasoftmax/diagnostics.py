@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, EmptyHistory, LengthMismatch
+from .errors import ConfigError, EmptyHistory, LengthMismatch, NonFiniteInput
 from .microlm import RunMetrics, TrainConfig, _atomic_write
-from .variants import ALL_KINDS, DEFAULT_EPS, VariantKind
+from .variants import ALL_KINDS, DEFAULT_EPS, VariantKind, _ordered_kinds
 from .jacobians import variant_jacobian
 
 PROFILES = ("one_peak", "one_trough", "uniform")
@@ -44,8 +45,7 @@ class SweepSpec:
             raise ConfigError(f"profile must be one of {PROFILES}, got {self.profile!r}")
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     g: float
     kind: VariantKind
     frob_norm: float
@@ -67,7 +67,7 @@ def profile_row(profile: str, g: float, t: int) -> np.ndarray:
 
 def saturation_sweep(spec: SweepSpec, eps: float = DEFAULT_EPS) -> list[SweepRecord]:
     """One record per (g, kind), ordered by g ascending then variant order."""
-    kinds = tuple(k for k in ALL_KINDS if k in set(spec.kinds))
+    kinds = _ordered_kinds(spec.kinds)
     records = []
     for g in sorted(spec.gaps):
         z = profile_row(spec.profile, g, spec.t)
@@ -84,10 +84,9 @@ def saturation_sweep(spec: SweepSpec, eps: float = DEFAULT_EPS) -> list[SweepRec
 
 
 def sweep_to_csv(records: list[SweepRecord]) -> str:
-    lines = ["g,kind,frob_norm,diag_peak,rowgrad_sum"]
-    for r in records:
-        lines.append("%.17g,%s,%.17g,%.17g,%.17g"
-                     % (r.g, r.kind.value, r.frob_norm, r.diag_peak, r.rowgrad_sum))
+    lines = [",".join(SweepRecord._fields)]
+    lines += [",".join(v.value if isinstance(v, VariantKind) else "%.17g" % v for v in r)
+              for r in records]
     return "\n".join(lines) + "\n"
 
 
@@ -95,8 +94,7 @@ def sweep_to_csv(records: list[SweepRecord]) -> str:
 # Training-run comparisons.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     step: int
     variant_grad_norm: float
     baseline_grad_norm: float
@@ -162,7 +160,7 @@ def dump_attention(layer_weights: list[np.ndarray], out_dir) -> list[Path]:
     for i, w in enumerate(layer_weights):
         w = np.asarray(w, dtype=np.float64)
         if not np.all(np.isfinite(w)):
-            raise ValueError(f"layer {i} attention weights contain NaN or Inf")
+            raise NonFiniteInput(f"layer {i} attention weights contain NaN or Inf")
         body = "".join(",".join("%.17g" % x for x in row) + "\n" for row in w)
         path = out_dir / f"attention_layer{i}.csv"
         _atomic_write(path, body)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .variants import (
     VariantKind,
     _Scaler,
     _checked_values,
+    _ordered_kinds,
     _weights,
     variant_weights,
 )
@@ -49,8 +51,7 @@ class JacobianBlock:
     entries: np.ndarray
 
 
-@dataclass(frozen=True)
-class GradCheckReport:
+class GradCheckReport(NamedTuple):
     """Outcome of comparing one analytic Jacobian against central differences.
 
     max_rel_err is the effective relative error: entries whose absolute error
@@ -153,6 +154,12 @@ def gradcheck(samples: int, t_range: tuple[int, int] = (1, 8),
     (row length, kind) pair; rows where the finite-difference stencil could
     cross an extrema tie are reported with skipped_tie=True and not compared.
     Deterministic given the seed.
+
+    At the default h and abs_floor, central differences are accurate to about
+    the floor, so the floor zeroes nearly every entry's error and the check is
+    in effect |analytic - fd| <= abs_floor per entry: at seed 7, 39 990 of the
+    39 993 compared rows of gradcheck(1000, (1, 8)) have max_rel_err == 0.0.
+    tol_rel only bites once abs_floor is lowered too.
     """
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}")
@@ -160,9 +167,7 @@ def gradcheck(samples: int, t_range: tuple[int, int] = (1, 8),
     t_lo, t_hi = t_range
     if not 1 <= t_lo <= t_hi:
         raise ConfigError(f"bad row-length range {t_range}")
-    kinds = tuple(k for k in ALL_KINDS if k in set(kinds))
-    if not kinds:
-        raise ConfigError("kinds must be non-empty")
+    kinds = _ordered_kinds(kinds)
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
 
@@ -174,44 +179,27 @@ def gradcheck(samples: int, t_range: tuple[int, int] = (1, 8),
             ties = _tie_rows(z, kind, h)
             analytic = _jacobian_full_rows(z, kind, eps)
             fd = _fd_full_rows(z, kind, eps, h)
-            abs_err = np.abs(analytic - fd)
-            denom = np.maximum(np.abs(analytic), np.abs(fd))
+            abs_err = np.abs(analytic - fd).reshape(samples, -1)
+            denom = np.maximum(np.abs(analytic), np.abs(fd)).reshape(samples, -1)
             rel = np.divide(abs_err, denom, out=np.zeros_like(abs_err), where=denom > 0)
-            eff_rel = np.where(abs_err <= abs_floor, 0.0, rel).reshape(samples, -1)
+            # A tie row reads as all-zero error, so it comes out with entry
+            # (0, 0) and passes, since tol_rel > 0.
+            eff_rel = np.where((abs_err <= abs_floor) | ties[:, np.newaxis], 0.0, rel)
+            max_abs = np.where(ties, 0.0, abs_err.max(axis=1))
             # Each row's reductions at once; argmax takes the first maximum,
             # so the worst entry is the lowest flat index among ties.
             worst = eff_rel.argmax(axis=1)
             max_rel = eff_rel[np.arange(samples), worst]
-            rows = zip(ties.tolist(), abs_err.reshape(samples, -1).max(axis=1).tolist(),
-                       max_rel.tolist(), (worst // t).tolist(), (worst % t).tolist(),
-                       (max_rel <= tol_rel).tolist())
-            for i, (tie, max_abs, rel_err, j, k, passed) in enumerate(rows):
-                if tie:
-                    reports.append(GradCheckReport(
-                        kind=kind, t=t, sample=i, max_abs_err=0.0, max_rel_err=0.0,
-                        worst_entry=(0, 0), passed=True, skipped_tie=True))
-                    continue
-                reports.append(GradCheckReport(
-                    kind=kind, t=t, sample=i, max_abs_err=max_abs, max_rel_err=rel_err,
-                    worst_entry=(j, k), passed=passed, skipped_tie=False))
+            rows = zip(max_abs.tolist(), max_rel.tolist(),
+                       zip((worst // t).tolist(), (worst % t).tolist()),
+                       (max_rel <= tol_rel).tolist(), ties.tolist())
+            reports += [GradCheckReport(kind, t, i, *row) for i, row in enumerate(rows)]
     return reports
 
 
 def reports_to_json(reports: list[GradCheckReport]) -> str:
-    rows = [
-        {
-            "kind": r.kind.value,
-            "t": r.t,
-            "sample": r.sample,
-            "max_abs_err": r.max_abs_err,
-            "max_rel_err": r.max_rel_err,
-            "worst_entry": list(r.worst_entry),
-            "passed": r.passed,
-            "skipped_tie": r.skipped_tie,
-        }
-        for r in reports
-    ]
-    return json.dumps(rows, indent=0)
+    # json writes the worst_entry tuple as a list
+    return json.dumps([{**r._asdict(), "kind": r.kind.value} for r in reports], indent=0)
 
 
 def variant_weight_vjp(scores: np.ndarray, mask: np.ndarray, grad_w: np.ndarray,

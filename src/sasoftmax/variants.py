@@ -51,6 +51,15 @@ class VariantKind(enum.Enum):
 ALL_KINDS = tuple(VariantKind)
 
 
+def _ordered_kinds(kinds) -> tuple[VariantKind, ...]:
+    """The distinct kinds in ALL_KINDS order; none at all is a ConfigError."""
+    wanted = set(kinds)
+    ordered = tuple(k for k in ALL_KINDS if k in wanted)
+    if not ordered:
+        raise ConfigError("kinds must be non-empty")
+    return ordered
+
+
 def _checked_values(z) -> np.ndarray:
     """One row of live logits as a float64 array, checked for shape and values."""
     values = np.asarray(z, dtype=np.float64)

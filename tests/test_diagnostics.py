@@ -7,6 +7,7 @@ from sasoftmax import (
     ALL_KINDS,
     EmptyHistory,
     LengthMismatch,
+    NonFiniteInput,
     RunMetrics,
     SweepSpec,
     VariantKind,
@@ -146,6 +147,7 @@ class TestDumpAttention:
         assert [p.name for p in paths] == [
             "attention_layer0.csv", "attention_layer1.csv", "attention_layer2.csv"]
 
-    def test_nonfinite_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            dump_attention([np.array([[np.inf]])], tmp_path)
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_rejected(self, tmp_path, bad):
+        with pytest.raises(NonFiniteInput):
+            dump_attention([np.array([[bad]])], tmp_path)

@@ -182,10 +182,16 @@ class TestGradcheck:
     def test_json_round_trip_fields(self):
         reports = gradcheck(samples=2, t_range=(2, 2), kinds=(VariantKind.V3,), seed=1)
         rows = json.loads(reports_to_json(reports))
-        assert rows[0].keys() == {
+        assert list(rows[0].keys()) == [
             "kind", "t", "sample", "max_abs_err", "max_rel_err",
-            "worst_entry", "passed", "skipped_tie"}
+            "worst_entry", "passed", "skipped_tie"]
         assert rows[0]["kind"] == "v3"
+        # a wide stencil makes sample 0 a tie row, which is written as zero
+        # error at entry (0, 0), passed and skipped
+        wide = gradcheck(samples=2, t_range=(2, 2), kinds=(VariantKind.V3,), seed=1, h=1.0)
+        assert json.loads(reports_to_json(wide))[0] == {
+            "kind": "v3", "t": 2, "sample": 0, "max_abs_err": 0.0, "max_rel_err": 0.0,
+            "worst_entry": [0, 0], "passed": True, "skipped_tie": True}
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
