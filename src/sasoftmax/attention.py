@@ -13,6 +13,7 @@ instead of computing them again.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,18 @@ from .variants import DEFAULT_EPS, VariantKind, _Scaler, _weights
 
 
 def causal_mask(t: int) -> np.ndarray:
-    """Boolean lower-triangular mask: row i may attend to columns j <= i."""
-    return np.tril(np.ones((t, t), dtype=bool))
+    """Boolean lower-triangular mask: row i may attend to columns j <= i.
+
+    The array is read-only and shared by every call with the same t.
+    """
+    return _causal_mask(t)
+
+
+@functools.lru_cache(maxsize=8)
+def _causal_mask(t: int) -> np.ndarray:
+    mask = np.tril(np.ones((t, t), dtype=bool))
+    mask.flags.writeable = False
+    return mask
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,10 @@ from .variants import DEFAULT_EPS, VariantKind
 
 LN_EPS = 1e-5
 CHECKPOINT_MAGIC = b"SAXLM001"
+# evaluate_ppl runs max(1, _EVAL_CHUNK_POSITIONS // seq_len) windows per
+# forward: 32 windows at the default seq_len of 64. Larger chunks hold more
+# memory and were no faster.
+_EVAL_CHUNK_POSITIONS = 2048
 
 
 @dataclass(frozen=True)
@@ -202,13 +206,15 @@ def _gelu_backward(dy, x, phi):
 def forward_loss(params: dict, inputs: np.ndarray, targets: np.ndarray,
                  cfg: TrainConfig) -> tuple[float, dict]:
     """Mean next-token cross-entropy (nats) plus a cache for backward."""
-    return _forward(params, inputs, targets, cfg, keep=True)
+    nll, cache = _forward(params, inputs, targets, cfg, keep=True)
+    return float(nll.mean()), cache
 
 
 def _forward(params: dict, inputs: np.ndarray, targets: np.ndarray,
-             cfg: TrainConfig, keep: bool) -> tuple[float, dict | None]:
-    """forward_loss's loss, and its cache if keep; without keep the cache is
-    None and no layer's intermediates outlive the layer."""
+             cfg: TrainConfig, keep: bool) -> tuple[np.ndarray, dict | None]:
+    """The (B, T) next-token cross-entropy of every position, and forward_loss's
+    cache if keep; without keep the cache is None and no layer's
+    intermediates outlive the layer."""
     inputs = np.asarray(inputs)
     targets = np.asarray(targets)
     if inputs.shape != targets.shape or inputs.ndim != 2:
@@ -228,19 +234,19 @@ def _forward(params: dict, inputs: np.ndarray, targets: np.ndarray,
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     norm = exp.sum(axis=-1, keepdims=True)
-    log_probs = shifted - np.log(norm)
     rows = np.arange(b)[:, np.newaxis]
     cols = np.arange(t)[np.newaxis, :]
-    loss = float(-log_probs[rows, cols, targets].mean())
+    # -log_softmax at the targets, from the gathered entries only
+    nll = np.log(norm)[..., 0] - shifted[rows, cols, targets]
     if not keep:
-        return loss, None
+        return nll, None
 
     cache = {
         "cfg": cfg, "inputs": inputs, "targets": targets, "mask": layers[0]["attn"].mask,
         "layers": layers, "hf": hf, "lnf": lnf_ctx,
         "probs": exp / norm, "params": params,
     }
-    return loss, cache
+    return nll, cache
 
 
 def _block(x: np.ndarray, params: dict, pre: str, cfg: TrainConfig,
@@ -432,8 +438,11 @@ def evaluate_ppl(params: dict, cfg: TrainConfig, vocab: Vocabulary,
     """exp(mean next-token cross-entropy) over non-overlapping windows.
 
     Windows advance by seq_len so every position is predicted at most once;
-    a trailing fragment shorter than one window is dropped. A perplexity that
-    is not finite raises NonFiniteInput.
+    a trailing fragment shorter than one window is dropped. The windows run
+    through the forward in chunks of about _EVAL_CHUNK_POSITIONS positions,
+    so peak memory does not grow with the text; each window's losses are the
+    bits one batch of all windows gives. A perplexity that is not finite
+    raises NonFiniteInput.
     """
     data = text.encode("utf-8") if isinstance(text, str) else bytes(text)
     ids = vocab.encode(data)
@@ -441,9 +450,13 @@ def evaluate_ppl(params: dict, cfg: TrainConfig, vocab: Vocabulary,
     if len(ids) < t + 1:
         raise TextTooShort(f"need at least seq_len+1 = {t + 1} tokens, got {len(ids)}")
     n_windows = (len(ids) - 1) // t
-    starts = np.arange(n_windows) * t
-    idx = starts[:, np.newaxis] + np.arange(t)[np.newaxis, :]
-    loss, _ = _forward(params, ids[idx], ids[idx + 1], cfg, keep=False)
+    chunk = max(1, _EVAL_CHUNK_POSITIONS // t)
+    nll = np.empty((n_windows, t))
+    for lo in range(0, n_windows, chunk):
+        hi = min(lo + chunk, n_windows)
+        idx = (np.arange(lo, hi) * t)[:, np.newaxis] + np.arange(t)[np.newaxis, :]
+        nll[lo:hi] = _forward(params, ids[idx], ids[idx + 1], cfg, keep=False)[0]
+    loss = float(nll.mean())
     ppl = float(np.exp(loss))
     if not math.isfinite(ppl):
         raise NonFiniteInput(f"perplexity is not finite (mean loss {loss})")
@@ -457,9 +470,12 @@ def attention_maps(params: dict, cfg: TrainConfig, vocab: Vocabulary,
     ids = vocab.encode(data)
     if len(ids) < 1:
         raise TextTooShort("prompt must contain at least one byte")
-    inputs = ids[np.newaxis, :]
-    _, cache = forward_loss(params, inputs, np.zeros_like(inputs), cfg)
-    return [layer["attn"].weights[0] for layer in cache["layers"]]
+    x = params["embed"][ids[np.newaxis, :]]
+    maps = []
+    for i in range(cfg.layers):
+        x, ctx = _block(x, params, f"h{i}.", cfg, keep=True)
+        maps.append(ctx["attn"].weights[0])
+    return maps
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,18 @@ class TestRope:
         assert rope_rotate_back(g).tobytes() == want.tobytes()
 
 
+class TestCausalMask:
+    def test_lower_triangular(self):
+        np.testing.assert_array_equal(causal_mask(4), np.tril(np.ones((4, 4), dtype=bool)))
+
+    def test_shared_and_read_only(self):
+        mask = causal_mask(5)
+        assert causal_mask(5) is mask
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0, 1] = True
+        assert not mask[0, 1]
+
+
 class TestForward:
     def test_singleton_v4_returns_value_row(self):
         q = np.array([[2.0, 1.0]])

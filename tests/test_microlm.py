@@ -35,6 +35,7 @@ from sasoftmax import (
     train,
 )
 from sasoftmax.microlm import (
+    _EVAL_CHUNK_POSITIONS,
     _gelu_backward,
     _layer_norm_backward,
     param_names,
@@ -393,6 +394,39 @@ class TestEvaluate:
             tracemalloc.stop()
         assert eval_peak <= 0.5 * train_peak
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_chunks_equal_one_batch(self, corpus_path, kind):
+        # two full chunks and a partial one; the bits match only if every
+        # matmul row comes out the same whatever the row count of its call
+        tokens, vocab = load_corpus(corpus_path)
+        cfg = tiny_config(corpus_path, kind=kind, layers=2, d_model=8, seq_len=16,
+                          init_std=0.5)
+        params = init_params(cfg, vocab.size, np.random.default_rng(3))
+        chunk = _EVAL_CHUNK_POSITIONS // 16
+        n = 2 * chunk + chunk // 2
+        ids = tokens[: n * 16 + 1]
+        idx = (np.arange(n) * 16)[:, None] + np.arange(16)[None, :]
+        loss, _ = forward_loss(params, ids[idx], ids[idx + 1], cfg)
+        assert evaluate_ppl(params, cfg, vocab, vocab.decode(ids)) == np.exp(loss)
+
+    def test_peak_memory_flat_in_text_length(self, corpus_path):
+        tokens, vocab = load_corpus(corpus_path)
+        cfg = tiny_config(corpus_path, layers=2, d_model=16, seq_len=32)
+        params = init_params(cfg, vocab.size, np.random.default_rng(2))
+        chunk = _EVAL_CHUNK_POSITIONS // 32
+        peaks = []
+        tracemalloc.start()
+        try:
+            for n in (chunk, 4 * chunk):
+                text = vocab.decode(tokens[: n * 32 + 1])
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                evaluate_ppl(params, cfg, vocab, text)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0]
+
     def test_unknown_symbol_rejected(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("abababab")
@@ -489,3 +523,15 @@ class TestAttentionMaps:
         for w in maps:
             assert w.shape == (4, 4)
             assert np.all(w[np.triu_indices(4, 1)] == 0.0)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_maps_equal_forward_cache(self, corpus_path, kind):
+        tokens, vocab = load_corpus(corpus_path)
+        cfg = tiny_config(corpus_path, kind=kind, layers=2, init_std=0.5)
+        params = init_params(cfg, vocab.size, np.random.default_rng(4))
+        ids = tokens[:12]
+        maps = attention_maps(params, cfg, vocab, vocab.decode(ids))
+        _, cache = forward_loss(params, ids[None, :], ids[None, :], cfg)
+        assert len(maps) == 2
+        for w, layer in zip(maps, cache["layers"]):
+            assert w.tobytes() == layer["attn"].weights[0].tobytes()
