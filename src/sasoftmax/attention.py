@@ -102,12 +102,13 @@ def scaled_scores(q: np.ndarray, k: np.ndarray,
     k = _as_stack("k", k)
     if q.shape != k.shape:
         raise ShapeMismatch(f"q {q.shape} and k {k.shape} must agree")
-    z = (q @ np.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(float(q.shape[-1])))
+    z = q @ np.swapaxes(k, -1, -2)
+    z *= 1.0 / np.sqrt(float(q.shape[-1]))
     if bias is not None:
         bias = _as_stack("bias", bias)
         if bias.shape != z.shape:
             raise ShapeMismatch(f"bias must have shape {z.shape}, got {bias.shape}")
-        z = z + bias
+        z += bias
     return z
 
 
@@ -141,8 +142,10 @@ def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     even = x[..., 0::2]
     odd = x[..., 1::2]
     out = np.empty_like(x)
-    out[..., 0::2] = even * cos - odd * sin
-    out[..., 1::2] = even * sin + odd * cos
+    out_even = np.multiply(even, cos, out=out[..., 0::2])
+    out_even -= odd * sin
+    out_odd = np.multiply(even, sin, out=out[..., 1::2])
+    out_odd += odd * cos
     return out
 
 
@@ -198,8 +201,10 @@ def attention_backward(cache: AttentionCache, d_out: np.ndarray) -> AttentionGra
     dw = d_out @ np.swapaxes(cache.v, -1, -2)
     dz = _weight_vjp(cache.mask, dw, cache.softmax, cache.scaler, cache.weights)
 
-    dq_rot = (dz @ cache.k_rot) * cache.scale
-    dk_rot = (np.swapaxes(dz, -1, -2) @ cache.q_rot) * cache.scale
+    dq_rot = dz @ cache.k_rot
+    dq_rot *= cache.scale
+    dk_rot = np.swapaxes(dz, -1, -2) @ cache.q_rot
+    dk_rot *= cache.scale
     if cache.cos is not None:
         dq = _rotate_back(dq_rot, cache.cos, cache.sin)
         dk = _rotate_back(dk_rot, cache.cos, cache.sin)

@@ -218,21 +218,28 @@ def _weight_vjp(mask: np.ndarray, grad_w: np.ndarray, s: np.ndarray,
     """variant_weight_vjp from the softmax s, scaler sc and weights w = c * s
     of the same scores, as variants._weights returns them; the attention
     backward passes the ones its forward kept."""
-    g = np.where(mask, grad_w, 0.0)
-    gs = g * s
+    # dz starts as a masked copy of grad_w; every later step writes only dz
+    # or gs, never an argument, and the masked entries are zeroed last.
+    dz = np.where(mask, grad_w, 0.0)
     if sc is None:
-        return np.where(mask, gs - s * np.sum(gs, axis=-1, keepdims=True), 0.0)
-
-    # Softmax part s_k * (g_k c_k - sum_j g_j w_j), then the scaler's
-    # identity term, its lo gate and d's two gates (hi, -lo).
-    gw = g * w
-    gw_sum = np.sum(gw, axis=-1, keepdims=True)
-    dz = gw - s * gw_sum + gs / sc.d
-    if sc.lo_at_min is not None:
-        _sub_at(dz, sc.amin, sc.lo_at_min * np.sum(gs, axis=-1, keepdims=True) / sc.d)
-    if sc.hi_at_max is not None:
-        # sum_j g_j s_j u_j / d^2 = gw_sum / d
-        quot = gw_sum / sc.d
-        _sub_at(dz, sc.amax, sc.hi_at_max * quot)
-        _sub_at(dz, sc.amin, -sc.lo_at_min * quot)
-    return np.where(mask, dz, 0.0)
+        dz *= s
+        dz -= s * np.sum(dz, axis=-1, keepdims=True)
+    else:
+        # Softmax part s_k * (g_k c_k - sum_j g_j w_j), then the scaler's
+        # identity term, its lo gate and d's two gates (hi, -lo).
+        gs = dz * s
+        gs_sum = np.sum(gs, axis=-1, keepdims=True)
+        dz *= w
+        gw_sum = np.sum(dz, axis=-1, keepdims=True)
+        dz -= s * gw_sum
+        gs /= sc.d
+        dz += gs
+        if sc.lo_at_min is not None:
+            _sub_at(dz, sc.amin, sc.lo_at_min * gs_sum / sc.d)
+        if sc.hi_at_max is not None:
+            # sum_j g_j s_j u_j / d^2 = gw_sum / d
+            quot = gw_sum / sc.d
+            _sub_at(dz, sc.amax, sc.hi_at_max * quot)
+            _sub_at(dz, sc.amin, -sc.lo_at_min * quot)
+    np.copyto(dz, 0.0, where=~mask)
+    return dz

@@ -167,21 +167,26 @@ def init_params(cfg: TrainConfig, vocab_size: int, rng: np.random.Generator) -> 
 
 def _layer_norm(x, gain, bias):
     mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
+    xhat = x - mu
+    y = xhat * xhat
+    var = np.mean(y, axis=-1, keepdims=True)
     rstd = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = centered * rstd
-    return gain * xhat + bias, (xhat, rstd)
+    xhat *= rstd
+    np.multiply(gain, xhat, out=y)
+    y += bias
+    return y, (xhat, rstd)
 
 
 def _layer_norm_backward(dy, gain, ctx):
     xhat, rstd = ctx
-    dgain = np.sum(dy * xhat, axis=(0, 1))
+    tmp = dy * xhat
+    dgain = np.sum(tmp, axis=(0, 1))
     dbias = np.sum(dy, axis=(0, 1))
-    dxhat = dy * gain
-    dx = rstd * (dxhat
-                 - dxhat.mean(axis=-1, keepdims=True)
-                 - xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True))
+    dx = dy * gain
+    proj = np.mean(np.multiply(dx, xhat, out=tmp), axis=-1, keepdims=True)
+    dx -= dx.mean(axis=-1, keepdims=True)
+    dx -= np.multiply(xhat, proj, out=tmp)
+    dx *= rstd
     return dx, dgain, dbias
 
 
@@ -189,14 +194,22 @@ _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-def _gelu(x):
-    phi = 0.5 * (1.0 + erf(x / _SQRT2))
-    return x * phi, phi
-
-
-def _gelu_backward(dy, x, phi):
-    pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-    return dy * (phi + x * pdf)
+def _gelu(x, keep):
+    """x * Phi(x), and with keep its derivative Phi(x) + x * pdf(x) (else None)."""
+    phi = x / _SQRT2
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
+    h = x * phi
+    if not keep:
+        return h, None
+    pdf = -0.5 * x
+    pdf *= x
+    np.exp(pdf, out=pdf)
+    pdf *= _INV_SQRT_2PI
+    pdf *= x
+    phi += pdf
+    return h, phi
 
 
 # ---------------------------------------------------------------------------
@@ -231,20 +244,23 @@ def _forward(params: dict, inputs: np.ndarray, targets: np.ndarray,
     hf, lnf_ctx = _layer_norm(x, params["lnf.g"], params["lnf.b"])
     logits = hf @ params["embed"].T
 
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    norm = exp.sum(axis=-1, keepdims=True)
+    # logits becomes the shifted logits, then their exp, then the probabilities
+    logits -= logits.max(axis=-1, keepdims=True)
     rows = np.arange(b)[:, np.newaxis]
     cols = np.arange(t)[np.newaxis, :]
+    picked = logits[rows, cols, targets]
+    np.exp(logits, out=logits)
+    norm = logits.sum(axis=-1, keepdims=True)
     # -log_softmax at the targets, from the gathered entries only
-    nll = np.log(norm)[..., 0] - shifted[rows, cols, targets]
+    nll = np.log(norm)[..., 0] - picked
     if not keep:
         return nll, None
+    logits /= norm
 
     cache = {
         "cfg": cfg, "inputs": inputs, "targets": targets, "mask": layers[0]["attn"].mask,
         "layers": layers, "hf": hf, "lnf": lnf_ctx,
-        "probs": exp / norm, "params": params,
+        "probs": logits, "params": params,
     }
     return nll, cache
 
@@ -262,17 +278,17 @@ def _block(x: np.ndarray, params: dict, pre: str, cfg: TrainConfig,
     att, attn = attention_forward(AttentionInput(
         a @ params[pre + "wq"], a @ params[pre + "wk"], a @ params[pre + "wv"],
         kind=cfg.kind, rope=cfg.rope, rope_base=cfg.rope_base, eps=cfg.eps))
-    x_mid = x + att @ params[pre + "wo"]
+    x_mid = att @ params[pre + "wo"]
+    x_mid += x
     ctx = {"a": a, "ln1": ln1_ctx, "attn": attn, "z": attn.scores, "att": att} if keep else None
     del a, ln1_ctx, att, attn
 
     m_in, ln2_ctx = _layer_norm(x_mid, params[pre + "ln2.g"], params[pre + "ln2.b"])
-    h_pre = m_in @ params[pre + "w1"]
-    h, phi = _gelu(h_pre)
-    out = x_mid + h @ params[pre + "w2"]
+    h, dgelu = _gelu(m_in @ params[pre + "w1"], keep)
+    out = h @ params[pre + "w2"]
+    out += x_mid
     if keep:
-        # h itself is not kept: backward rebuilds it as h_pre * phi
-        ctx.update({"ln2": ln2_ctx, "m_in": m_in, "h_pre": h_pre, "phi": phi})
+        ctx.update({"ln2": ln2_ctx, "m_in": m_in, "h": h, "dgelu": dgelu})
     return out, ctx
 
 
@@ -305,33 +321,40 @@ def backward(cache: dict) -> dict[str, np.ndarray]:
     dhf = dlogits @ params["embed"]
     dx, grads["lnf.g"], grads["lnf.b"] = _layer_norm_backward(dhf, params["lnf.g"], cache["lnf"])
 
+    # Each layer's large temporaries are deleted once read, so they are freed
+    # before the next layer allocates its own.
     for i in reversed(range(cfg.layers)):
         pre = f"h{i}."
         ctx = cache["layers"][i]
 
-        # x_out = x_mid + mlp(ln2(x_mid))
+        # x_out = x_mid + mlp(ln2(x_mid)); dh becomes the gradient at the
+        # GELU's input
         dh = dx @ params[pre + "w2"].T
-        grads[pre + "w2"] = _wgrad(ctx["h_pre"] * ctx["phi"], dx)
-        dh_pre = _gelu_backward(dh, ctx["h_pre"], ctx["phi"])
-        dm_in = dh_pre @ params[pre + "w1"].T
-        grads[pre + "w1"] = _wgrad(ctx["m_in"], dh_pre)
-        dln2, grads[pre + "ln2.g"], grads[pre + "ln2.b"] = _layer_norm_backward(
+        grads[pre + "w2"] = _wgrad(ctx["h"], dx)
+        dh *= ctx["dgelu"]
+        dm_in = dh @ params[pre + "w1"].T
+        grads[pre + "w1"] = _wgrad(ctx["m_in"], dh)
+        del dh
+        dx_mid, grads[pre + "ln2.g"], grads[pre + "ln2.b"] = _layer_norm_backward(
             dm_in, params[pre + "ln2.g"], ctx["ln2"])
-        dx_mid = dx + dln2
+        del dm_in
+        dx_mid += dx
 
         # x_mid = x + attention(ln1(x)) @ wo
-        datt = dx_mid @ params[pre + "wo"].T
         grads[pre + "wo"] = _wgrad(ctx["att"], dx_mid)
-        g = attention_backward(ctx["attn"], datt)
-        dq, dk, dv = g.dq, g.dk, g.dv
-        da = dq @ params[pre + "wq"].T + dk @ params[pre + "wk"].T + dv @ params[pre + "wv"].T
+        g = attention_backward(ctx["attn"], dx_mid @ params[pre + "wo"].T)
+        da = g.dq @ params[pre + "wq"].T
+        da += g.dk @ params[pre + "wk"].T
+        da += g.dv @ params[pre + "wv"].T
         a = ctx["a"]
-        grads[pre + "wq"] = _wgrad(a, dq)
-        grads[pre + "wk"] = _wgrad(a, dk)
-        grads[pre + "wv"] = _wgrad(a, dv)
-        dln1, grads[pre + "ln1.g"], grads[pre + "ln1.b"] = _layer_norm_backward(
+        grads[pre + "wq"] = _wgrad(a, g.dq)
+        grads[pre + "wk"] = _wgrad(a, g.dk)
+        grads[pre + "wv"] = _wgrad(a, g.dv)
+        del g
+        dx, grads[pre + "ln1.g"], grads[pre + "ln1.b"] = _layer_norm_backward(
             da, params[pre + "ln1.g"], ctx["ln1"])
-        dx = dx_mid + dln1
+        del da
+        dx += dx_mid
 
     # The tied embedding is read twice: as the logits' weight and as the
     # token lookup. The lookup's scatter-add of dx into the rows of repeated
@@ -411,7 +434,10 @@ def sample_windows(tokens: np.ndarray, seq_len: int, batch: int,
 
 
 def train(cfg: TrainConfig) -> TrainResult:
-    """Run the full training loop; deterministic given (seed, config, corpus)."""
+    """Run the full training loop; deterministic given (seed, config, corpus).
+
+    A loss that is not finite raises NonFiniteInput at its step (counted
+    from 1, as NonFiniteGradient counts them)."""
     tokens, vocab = load_corpus(cfg.corpus_path)
     if len(tokens) < cfg.seq_len + 1:
         raise CorpusTooSmall(
@@ -420,10 +446,12 @@ def train(cfg: TrainConfig) -> TrainResult:
     params = init_params(cfg, vocab.size, rng)
     state = init_adam(params)
     metrics = RunMetrics()
-    for _ in range(cfg.steps):
+    for step in range(1, cfg.steps + 1):
         t0 = time.perf_counter()
         inputs, targets = sample_windows(tokens, cfg.seq_len, cfg.batch, rng)
         loss, cache = forward_loss(params, inputs, targets, cfg)
+        if not math.isfinite(loss):
+            raise NonFiniteInput(f"loss is not finite at step {step}")
         grads = backward(cache)
         norm = global_grad_norm(grads)
         params, state = adam_step(params, grads, state, cfg)

@@ -84,10 +84,11 @@ def masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
     Computed with per-row max subtraction. Every row of ``mask`` must have at
     least one live entry.
     """
-    neg = np.where(mask, scores, -np.inf)
-    shifted = neg - np.max(neg, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    e = np.where(mask, scores, -np.inf)
+    e -= np.max(e, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=-1, keepdims=True)
+    return e
 
 
 def masked_extrema(scores: np.ndarray, mask: np.ndarray):
@@ -169,7 +170,9 @@ def _weights(scores: np.ndarray, mask: np.ndarray, kind: VariantKind,
     if kind is VariantKind.BASELINE:
         return s, None, s
     sc = _scaler(scores, mask, kind, eps)
-    return s, sc, sc.u / sc.d * s
+    w = sc.u / sc.d
+    w *= s
+    return s, sc, w
 
 
 def variant_weights(scores: np.ndarray, mask: np.ndarray, kind: VariantKind,

@@ -251,6 +251,27 @@ class TestBackward:
         assert np.all(grads.dq == 0) and np.all(grads.dk == 0)
         np.testing.assert_array_equal(grads.dv, d_out)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_leaves_inputs_and_cache_unchanged(self, kind):
+        def cached_bytes(cache):
+            fields = [getattr(cache, f.name) for f in dataclasses.fields(cache)]
+            return [a.tobytes() for a in (*fields, *(cache.scaler or ()))
+                    if isinstance(a, np.ndarray)]
+
+        rng = np.random.default_rng(9)
+        q, k, v, d_out = rng.normal(size=(4, 2, 5, 4))
+        bias = rng.normal(size=(2, 5, 5))
+        arrays = (q, k, v, bias, d_out)
+        before = [a.tobytes() for a in arrays]
+        _, cache = attention_forward(AttentionInput(q, k, v, kind=kind, bias=bias, rope=True))
+        kept = cached_bytes(cache)
+        first = attention_backward(cache, d_out)
+        second = attention_backward(cache, d_out)
+        assert [a.tobytes() for a in arrays] == before
+        assert cached_bytes(cache) == kept
+        for name in ("dq", "dk", "dv", "dbias"):
+            assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
+
     def test_cache_mismatch(self):
         rng = np.random.default_rng(8)
         q, k, v = rng.normal(size=(3, 3, 2))

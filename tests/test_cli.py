@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from sasoftmax import TrainConfig, load_checkpoint, save_checkpoint
+from sasoftmax import TrainConfig, load_checkpoint, microlm, save_checkpoint
 from sasoftmax.cli import build_parser, main
 
 # Every option `train` takes. TrainConfig fields left off the CLI (rope_base)
@@ -201,6 +201,19 @@ class TestTrainCommand:
         rc = main(["train", "--layers", "1", "--d-model", "8", "--seq-len", "8",
                    "--batch", "2", "--steps", "2", *flags, "--out", str(out)])
         assert_config_error(rc, capsys, out)
+
+    def test_nonfinite_loss_exits_1(self, tmp_path, capsys, monkeypatch):
+        real = microlm.forward_loss
+        monkeypatch.setattr(microlm, "forward_loss",
+                            lambda *args: (float("nan"), real(*args)[1]))
+        out = tmp_path / "x"
+        rc = main(["train", "--layers", "1", "--d-model", "8", "--seq-len", "8",
+                   "--batch", "2", "--steps", "2", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: NonFiniteInput: loss is not finite at step 1\n")
+        assert not (out / "metrics.csv").exists()
+        assert not (out / "checkpoint.bin").exists()
 
     def test_flag_set_frozen(self):
         parsed = vars(build_parser().parse_args(["train"]))

@@ -290,6 +290,17 @@ class TestWeightVjp:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_leaves_inputs_unchanged(self, kind):
+        rng = np.random.default_rng(80)
+        t = 6
+        scores = rng.uniform(-4, 4, (3, t, t))
+        grad_w = rng.normal(size=(3, t, t))
+        before = scores.tobytes(), grad_w.tobytes()
+        first = variant_weight_vjp(scores, causal_mask(t), grad_w, kind)
+        assert (scores.tobytes(), grad_w.tobytes()) == before
+        assert variant_weight_vjp(scores, causal_mask(t), grad_w, kind).tobytes() == first.tobytes()
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_masked_entries_zero(self, kind):
         rng = np.random.default_rng(78)
         t = 5

@@ -2,6 +2,8 @@
 training behavior, perplexity, and checkpoint round-trips."""
 
 import collections
+import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -13,6 +15,7 @@ from sasoftmax import (
     CheckpointError,
     CorpusTooSmall,
     NonFiniteGradient,
+    NonFiniteInput,
     ShapeMismatch,
     TextTooShort,
     TrainConfig,
@@ -36,11 +39,30 @@ from sasoftmax import (
 )
 from sasoftmax.microlm import (
     _EVAL_CHUNK_POSITIONS,
-    _gelu_backward,
+    _gelu,
     _layer_norm_backward,
     param_names,
     sample_windows,
 )
+
+
+def array_hashes(obj, path="") -> dict[str, bytes]:
+    """The sha256 of the bytes of every array reachable from obj, by path,
+    through dicts, lists, tuples (named ones too) and dataclasses."""
+    if isinstance(obj, np.ndarray):
+        return {path: hashlib.sha256(obj.tobytes()).digest()}
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    elif dataclasses.is_dataclass(obj):
+        items = ((f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    else:
+        return {}
+    out = {}
+    for key, value in items:
+        out.update(array_hashes(value, f"{path}/{key}"))
+    return out
 
 
 def tiny_config(corpus, **overrides):
@@ -198,6 +220,26 @@ class TestBackward:
             np.testing.assert_allclose(got[name], want[name], rtol=1e-12, atol=1e-12 * scale,
                                        err_msg=name)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_writes_no_input_or_cache_array(self, corpus_path, kind):
+        # the elementwise kernels work in place only on arrays they made
+        tokens, vocab = load_corpus(corpus_path)
+        cfg = tiny_config(corpus_path, kind=kind, layers=2, batch=3, seq_len=6,
+                          init_std=0.5)
+        rng = np.random.default_rng(5)
+        params = init_params(cfg, vocab.size, rng)
+        inputs, targets = sample_windows(tokens, cfg.seq_len, cfg.batch, rng)
+        before_forward = array_hashes([params, inputs, targets])
+        _, cache = forward_loss(params, inputs, targets, cfg)
+        assert array_hashes([params, inputs, targets]) == before_forward
+        before = array_hashes(cache)
+        # params, inputs, targets, hf, lnf, probs and each layer's entries
+        assert len(before) > 50
+        first = backward(cache)
+        second = backward(cache)
+        assert array_hashes(cache) == before
+        assert all(first[n].tobytes() == second[n].tobytes() for n in first)
+
     def test_gradient_linearity_over_batch_halves(self, corpus_path):
         tokens, vocab = load_corpus(corpus_path)
         cfg = tiny_config(corpus_path, batch=4, kind=VariantKind.V2)
@@ -232,9 +274,8 @@ def einsum_backward(cache):
     for i in reversed(range(cfg.layers)):
         pre = f"h{i}."
         ctx = cache["layers"][i]
-        h = ctx["h_pre"] * ctx["phi"]
-        grads[pre + "w2"] = np.einsum("btk,btd->kd", h, dx)
-        dh_pre = _gelu_backward(dx @ params[pre + "w2"].T, ctx["h_pre"], ctx["phi"])
+        grads[pre + "w2"] = np.einsum("btk,btd->kd", ctx["h"], dx)
+        dh_pre = (dx @ params[pre + "w2"].T) * ctx["dgelu"]
         grads[pre + "w1"] = np.einsum("btd,btk->dk", ctx["m_in"], dh_pre)
         dln2, grads[pre + "ln2.g"], grads[pre + "ln2.b"] = _layer_norm_backward(
             dh_pre @ params[pre + "w1"].T, params[pre + "ln2.g"], ctx["ln2"])
@@ -285,6 +326,35 @@ def model_fd_worst_rel(kind, seed=3, h=1e-5):
         denom = np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-8)
         worst = max(worst, float((np.abs(a - fd) / denom).max()))
     return worst
+
+
+class TestLayerNorm:
+    def test_leaves_arguments_unchanged(self):
+        rng = np.random.default_rng(6)
+        x, dy = rng.normal(size=(2, 3, 4, 5))
+        gain, bias = rng.normal(size=(2, 5))
+        before = array_hashes([x, dy, gain, bias])
+        y, ctx = microlm._layer_norm(x, gain, bias)
+        kept = array_hashes(ctx)
+        _layer_norm_backward(dy, gain, ctx)
+        assert array_hashes([x, dy, gain, bias]) == before
+        assert array_hashes(ctx) == kept
+
+
+class TestGelu:
+    def test_derivative_matches_central_differences(self):
+        x = np.concatenate([np.linspace(-10.0, 10.0, 801), [0.0, -1e-3, 1e-3]])
+        h, dgelu = _gelu(x, keep=True)
+        step = 1e-5
+        fd = (_gelu(x + step, keep=False)[0] - _gelu(x - step, keep=False)[0]) / (2 * step)
+        np.testing.assert_allclose(dgelu, fd, rtol=0, atol=1e-8)
+        assert _gelu(np.zeros(1), keep=True)[1][0] == 0.5
+
+    def test_eval_returns_no_derivative(self):
+        x = np.linspace(-3.0, 3.0, 7)
+        h, dgelu = _gelu(x, keep=False)
+        assert dgelu is None
+        assert h.tobytes() == _gelu(x, keep=True)[0].tobytes()
 
 
 class TestAdam:
@@ -348,6 +418,20 @@ class TestTrain:
         path.write_text("ab")
         with pytest.raises(CorpusTooSmall):
             train(tiny_config(path, seq_len=16))
+
+    def test_nonfinite_loss_stops_at_its_step(self, corpus_path, monkeypatch):
+        real = microlm.forward_loss
+        steps = []
+
+        def nan_at_third_step(*args):
+            loss, cache = real(*args)
+            steps.append(loss)
+            return (float("nan") if len(steps) == 3 else loss), cache
+
+        monkeypatch.setattr(microlm, "forward_loss", nan_at_third_step)
+        with pytest.raises(NonFiniteInput, match="loss is not finite at step 3"):
+            train(tiny_config(corpus_path, steps=5))
+        assert len(steps) == 3
 
     def test_grad_norm_is_global_l2(self):
         grads = {"a": np.array([3.0]), "b": np.array([4.0])}
