@@ -113,12 +113,24 @@ def scaled_scores(q: np.ndarray, k: np.ndarray,
 
 
 def rope_tables(t: int, d: int, base: float = 10000.0) -> tuple[np.ndarray, np.ndarray]:
-    """cos/sin tables of shape (t, d//2) for rotary position embedding."""
+    """cos/sin tables of shape (t, d//2) for rotary position embedding.
+
+    The arrays are read-only and shared by every call with the same
+    (t, d, base).
+    """
     if d % 2 != 0:
         raise OddHeadDim(f"head dimension must be even for rotation pairs, got {d}")
+    return _rope_tables(t, d, base)
+
+
+@functools.lru_cache(maxsize=8)
+def _rope_tables(t: int, d: int, base: float) -> tuple[np.ndarray, np.ndarray]:
     inv_freq = base ** (-np.arange(0, d, 2, dtype=np.float64) / d)
     angles = np.arange(t, dtype=np.float64)[:, np.newaxis] * inv_freq[np.newaxis, :]
-    return np.cos(angles), np.sin(angles)
+    tables = np.cos(angles), np.sin(angles)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def rope_rotate(x: np.ndarray, base: float = 10000.0) -> np.ndarray:

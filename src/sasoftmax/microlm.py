@@ -37,9 +37,14 @@ from .variants import DEFAULT_EPS, VariantKind
 LN_EPS = 1e-5
 CHECKPOINT_MAGIC = b"SAXLM001"
 # evaluate_ppl runs max(1, _EVAL_CHUNK_POSITIONS // seq_len) windows per
-# forward: 32 windows at the default seq_len of 64. Larger chunks hold more
-# memory and were no faster.
-_EVAL_CHUNK_POSITIONS = 2048
+# forward: 4 windows at the default seq_len of 64. A chunk's temporaries then
+# stay small enough for glibc to reuse the same heap from one chunk to the
+# next. From 6 windows up they go back to the kernel when freed and the next
+# chunk page-faults them in again: one eval of the bundled corpus at the
+# default config took ~600 minor faults in chunks of 3-5 windows, ~95k in 6
+# and ~215k in 32, and ran slower for it (BENCH_eval.json). At 2 windows the
+# per-chunk Python overhead dominates.
+_EVAL_CHUNK_POSITIONS = 256
 
 
 @dataclass(frozen=True)
@@ -200,9 +205,10 @@ def _gelu(x, keep):
     erf(phi, out=phi)
     phi += 1.0
     phi *= 0.5
-    h = x * phi
     if not keep:
-        return h, None
+        phi *= x
+        return phi, None
+    h = x * phi
     pdf = -0.5 * x
     pdf *= x
     np.exp(pdf, out=pdf)
@@ -567,8 +573,8 @@ def _read_manifest(manifest, path) -> tuple[TrainConfig, Vocabulary, dict[str, t
     """Config, vocabulary and parameter shapes of a decoded manifest.
 
     Raises CheckpointError unless every key is present with its type, the
-    config is valid, and the parameter list is exactly the one init_params
-    makes for that config.
+    config is valid, the vocab holds strictly ascending byte values, and the
+    parameter list is exactly the one init_params makes for that config.
     """
     def bad(why: str) -> CheckpointError:
         return CheckpointError(f"{path} has a bad manifest: {why}")
@@ -583,13 +589,20 @@ def _read_manifest(manifest, path) -> tuple[TrainConfig, Vocabulary, dict[str, t
     if manifest["format_version"] != 1:
         raise bad(f"format_version {manifest['format_version']} is not 1")
     try:
+        # float() refuses an int too large for the kernels' float64
+        config = {key: float(manifest[key]) if _MANIFEST_TYPES[key] is float else manifest[key]
+                  for key in _MANIFEST_CONFIG}
         cfg = TrainConfig(corpus_path="", kind=VariantKind.from_string(manifest["kind"]),
-                          **{key: manifest[key] for key in _MANIFEST_CONFIG})
-    except ConfigError as exc:
+                          **config)
+    except (ConfigError, OverflowError) as exc:
         raise bad(str(exc)) from None
-    if not all(_is_json(b, int) and 0 <= b <= 255 for b in manifest["vocab"]):
+    byte_values = manifest["vocab"]
+    if not all(_is_json(b, int) and 0 <= b <= 255 for b in byte_values):
         raise bad("vocab entries must be byte values 0-255")
-    vocab = Vocabulary(byte_values=tuple(manifest["vocab"]))
+    # Vocabulary assigns ids by ascending byte value
+    if any(a >= b for a, b in zip(byte_values, byte_values[1:])):
+        raise bad("vocab byte values must be strictly ascending")
+    vocab = Vocabulary(byte_values=tuple(byte_values))
     entries = manifest["params"]
     # every layer has parameters, so this bounds the expected list's size
     if cfg.layers > len(entries):
@@ -613,7 +626,9 @@ def load_checkpoint(path: str | Path) -> tuple[dict, TrainConfig, Vocabulary]:
     off += 8
     try:
         manifest = json.loads(raw[off:off + payload_len].decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+    # UnicodeDecodeError and JSONDecodeError are ValueErrors; RecursionError
+    # is a manifest nested deeper than the decoder recurses
+    except (ValueError, RecursionError) as exc:
         raise CheckpointError(f"{path} has an undecodable manifest: {exc}") from None
     off += payload_len
     cfg, vocab, shapes = _read_manifest(manifest, path)

@@ -101,6 +101,48 @@ class TestRope:
         assert rope_rotate_back(g).tobytes() == want.tobytes()
 
 
+class TestRopeTables:
+    def test_match_the_formula(self):
+        t, d, base = 9, 6, 500.0
+        angles = np.array([[p * base ** (-2 * m / d) for m in range(d // 2)] for p in range(t)])
+        cos, sin = rope_tables(t, d, base)
+        np.testing.assert_allclose(cos, np.cos(angles), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sin, np.sin(angles), rtol=0, atol=1e-12)
+        # and bit for bit as the tables were computed before they were shared
+        inv_freq = base ** (-np.arange(0, d, 2, dtype=np.float64) / d)
+        angles = np.arange(t, dtype=np.float64)[:, None] * inv_freq[None, :]
+        assert cos.tobytes() == np.cos(angles).tobytes()
+        assert sin.tobytes() == np.sin(angles).tobytes()
+
+    def test_shared_and_read_only(self):
+        cos, sin = rope_tables(7, 4, 100.0)
+        again = rope_tables(7, 4, 100.0)
+        assert again[0] is cos and again[1] is sin
+        for table in (cos, sin):
+            with pytest.raises(ValueError, match="read-only"):
+                table[1, 0] = 0.0
+        assert cos[1, 0] == np.cos(1.0)
+
+    def test_base_is_part_of_the_key(self):
+        cos, sin = rope_tables(7, 4, 100.0)
+        other = rope_tables(7, 4, 1000.0)
+        assert not np.array_equal(other[0], cos) and not np.array_equal(other[1], sin)
+
+    def test_rotation_unchanged(self):
+        # the elementwise formula the rotation was written from, bit for bit;
+        # test_backward_is_transposed_rotation_bitwise does the same for the
+        # pullback
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(3, 9, 6))
+        inv_freq = 10000.0 ** (-np.arange(0, 6, 2, dtype=np.float64) / 6)
+        angles = np.arange(9, dtype=np.float64)[:, None] * inv_freq[None, :]
+        cos, sin = np.cos(angles), np.sin(angles)
+        want = np.empty_like(x)
+        want[..., 0::2] = x[..., 0::2] * cos - x[..., 1::2] * sin
+        want[..., 1::2] = x[..., 0::2] * sin + x[..., 1::2] * cos
+        assert rope_rotate(x).tobytes() == want.tobytes()
+
+
 class TestCausalMask:
     def test_lower_triangular(self):
         np.testing.assert_array_equal(causal_mask(4), np.tril(np.ones((4, 4), dtype=bool)))

@@ -73,6 +73,8 @@ MANIFEST_EDITS = (
     set_key("eps", 0.0),
     set_key("eps", -1.0),
     set_key("vocab", [97, 300]),
+    lambda m: {**m, "vocab": [m["vocab"][0]] * len(m["vocab"])},
+    set_key("rope_base", 10**400),
     rename_first_param,
     reshape_wq,
 )
@@ -286,7 +288,8 @@ class TestEvalCommand:
         text.write_text("the river and the stone and the light.\n" * 3)
         source = ["--text", str(text)] if command == "eval" else ["--prompt", "the"]
         blobs = [b"NOTACKPT" + whole[8:], whole[:700], whole[:-16], whole + b"\0",
-                 b"SAXLM001" + (2).to_bytes(8, "little") + b"{}"]
+                 b"SAXLM001" + (2).to_bytes(8, "little") + b"{}",
+                 b"SAXLM001" + (200000).to_bytes(8, "little") + b"[" * 100000 + b"]" * 100000]
         blobs += [with_manifest(whole, edit) for edit in MANIFEST_EDITS]
         blobs += [with_param_entry(trained_dir, tmp_path, "h0.wq", value)
                   for value in (np.nan, np.inf, -np.inf)]

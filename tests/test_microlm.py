@@ -356,6 +356,15 @@ class TestGelu:
         assert dgelu is None
         assert h.tobytes() == _gelu(x, keep=True)[0].tobytes()
 
+    def test_eval_form_has_the_same_bits_and_leaves_x(self):
+        x = np.random.default_rng(9).normal(scale=4.0, size=(3, 5, 16))
+        x[0, 0, :3] = (0.0, -0.0, 1e-300)
+        before = x.tobytes()
+        h, _ = _gelu(x, keep=False)
+        assert x.tobytes() == before
+        assert h.tobytes() == _gelu(x, keep=True)[0].tobytes()
+        assert x.tobytes() == before
+
 
 class TestAdam:
     def test_zero_grads_leave_params_unchanged(self):
