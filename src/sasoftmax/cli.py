@@ -118,8 +118,10 @@ def _load_file_config(path: str, schema: dict) -> dict:
         raise ConfigError(f"config file not found: {path}")
     try:
         data = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    # ValueError covers bytes that are not UTF-8, malformed JSON and integers
+    # past the interpreter's digit limit; RecursionError, nesting too deep
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"config file {path} is not readable JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
     unknown = sorted(set(data) - set(schema))
@@ -130,7 +132,10 @@ def _load_file_config(path: str, schema: dict) -> dict:
         if not _is_json(value, want):
             raise ConfigError(f"config key {key!r} must be {want.__name__}")
         if want is float:
-            data[key] = float(value)
+            try:
+                data[key] = float(value)
+            except OverflowError:
+                raise ConfigError(f"config key {key!r} is out of range for a float") from None
     return data
 
 

@@ -42,6 +42,8 @@ from .variants import (
 FD_STEP = 1e-5
 TIE_MARGIN_STEPS = 10.0
 ABS_FLOOR = 1e-9
+# perturbed columns per variant_weights call in _fd_full_rows
+_FD_COLUMNS = 4
 
 
 @dataclass(frozen=True)
@@ -78,8 +80,9 @@ def _sub_at(a: np.ndarray, idx: np.ndarray, v: np.ndarray) -> None:
 
 
 def _jacobian_full_rows(z: np.ndarray, kind: VariantKind, eps: float) -> np.ndarray:
-    """Batched closed-form Jacobians for fully live rows. z: (N, T) -> (N, T, T)."""
-    z = np.asarray(z, dtype=np.float64)
+    """Batched closed-form Jacobians for fully live rows. z: (N, T) -> (N, T, T),
+    with the samples innermost in memory, as _fd_full_rows returns them."""
+    z = np.asfortranarray(z, dtype=np.float64)
     s, sc, cs = _weights(z, np.ones_like(z, dtype=bool), kind, eps)
 
     # Scaler-weighted softmax part: diag(c*s) - outer(c*s, s).
@@ -129,18 +132,36 @@ def _tie_rows(z: np.ndarray, kind: VariantKind, h: float) -> np.ndarray:
 
 
 def _fd_full_rows(z: np.ndarray, kind: VariantKind, eps: float, h: float) -> np.ndarray:
-    """Batched central differences for fully live rows. z: (N, T) -> (N, T, T)."""
+    """Batched central differences for fully live rows. z: (N, T) -> (N, T, T).
+
+    The perturbed rows and the result hold the samples innermost in memory,
+    whatever z's layout. A row has only a few entries, so each row reduction
+    in the variant kernels then runs as T passes over contiguous samples, not
+    as N passes of length T. Each call to variant_weights takes one sign of
+    up to _FD_COLUMNS perturbed columns, which bounds the stencil's memory.
+    Row sums of T >= 8 entries run in sequence rather than pairwise, so their
+    low bits differ from a stencil on rows stored contiguously.
+    """
     _require_positive("h", h)
     n, t = z.shape
-    mask = np.ones_like(z, dtype=bool)
-    out = np.empty((n, t, t))
-    for k in range(t):
-        bump = np.zeros(t)
-        bump[k] = h
-        plus = variant_weights(z + bump, mask, kind, eps)
-        minus = variant_weights(z - bump, mask, kind, eps)
-        out[:, :, k] = (plus - minus) / (2.0 * h)
-    return out
+    zt = np.asarray(z, dtype=np.float64).T
+    out = np.empty((t, t, n))
+    for k0 in range(0, t, _FD_COLUMNS):
+        k1 = min(k0 + _FD_COLUMNS, t)
+        cols = np.arange(k0, k1)
+        at = (cols, np.arange(k1 - k0))
+        # memory order (j, k, sample), viewed as (k, sample, j) rows
+        rows = np.empty((t, k1 - k0, n))
+        rows[...] = zt[:, np.newaxis, :]
+        stacked = rows.transpose(1, 2, 0)
+        mask = np.ones_like(stacked, dtype=bool)
+        diff = out[:, k0:k1]
+        rows[at] = zt[cols] + h
+        diff[...] = variant_weights(stacked, mask, kind, eps).transpose(2, 0, 1)
+        rows[at] = zt[cols] - h
+        diff -= variant_weights(stacked, mask, kind, eps).transpose(2, 0, 1)
+        diff /= 2.0 * h
+    return out.transpose(2, 0, 1)
 
 
 def gradcheck(samples: int, t_range: tuple[int, int] = (1, 8),
@@ -180,11 +201,12 @@ def gradcheck(samples: int, t_range: tuple[int, int] = (1, 8),
             analytic = _jacobian_full_rows(z, kind, eps)
             fd = _fd_full_rows(z, kind, eps, h)
             abs_err = np.abs(analytic - fd).reshape(samples, -1)
-            denom = np.maximum(np.abs(analytic), np.abs(fd)).reshape(samples, -1)
-            rel = np.divide(abs_err, denom, out=np.zeros_like(abs_err), where=denom > 0)
+            # The effective relative error, built in place of its denominator.
             # A tie row reads as all-zero error, so it comes out with entry
             # (0, 0) and passes, since tol_rel > 0.
-            eff_rel = np.where((abs_err <= abs_floor) | ties[:, np.newaxis], 0.0, rel)
+            eff_rel = np.maximum(np.abs(analytic), np.abs(fd)).reshape(samples, -1)
+            np.divide(abs_err, eff_rel, out=eff_rel, where=eff_rel > 0)
+            np.copyto(eff_rel, 0.0, where=(abs_err <= abs_floor) | ties[:, np.newaxis])
             max_abs = np.where(ties, 0.0, abs_err.max(axis=1))
             # Each row's reductions at once; argmax takes the first maximum,
             # so the worst entry is the lowest flat index among ties.

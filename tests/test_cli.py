@@ -431,6 +431,28 @@ class TestConfigHandling:
             assert echoed == value
             assert type(echoed) is (float if key == "lr" else type(value))
 
+    @pytest.mark.parametrize("command, float_key", [
+        (["train", "--d-model", "8", "--seq-len", "8", "--batch", "2", "--steps", "0"], "lr"),
+        (["gradcheck", "--samples", "1", "--tmax", "1"], "tol_rel"),
+    ])
+    @pytest.mark.parametrize("payload", ["float_overflow", "too_many_digits", "too_deep",
+                                         "not_utf8"])
+    def test_unreadable_file_is_config_error(self, tmp_path, capsys, command, float_key,
+                                             payload):
+        raw = {
+            "float_overflow": f'{{"{float_key}": {"9" * 400}}}'.encode(),
+            # past the interpreter's limit on digits in an int
+            "too_many_digits": f'{{"{float_key}": {"9" * 5000}}}'.encode(),
+            # nested past the recursion limit
+            "too_deep": b"[" * 100_000 + b"]" * 100_000,
+            "not_utf8": b"\xff\xfe{}",
+        }[payload]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(raw)
+        out = tmp_path / "x"
+        assert_config_error(main([*command, "--config", str(cfg), "--out", str(out)]),
+                            capsys, out)
+
     def test_missing_required_out_rejected(self, capsys):
         assert main(["sweep"]) == 2
         assert "--out" in capsys.readouterr().err

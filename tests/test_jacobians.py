@@ -19,6 +19,7 @@ from sasoftmax import (
     variant_jacobian,
     variant_weight_vjp,
 )
+from sasoftmax import jacobians
 from sasoftmax.jacobians import (
     ABS_FLOOR,
     FD_STEP,
@@ -26,6 +27,7 @@ from sasoftmax.jacobians import (
     _jacobian_full_rows,
     _tie_rows,
 )
+from sasoftmax.variants import variant_weights
 
 
 def transposed_strides(x):
@@ -157,6 +159,87 @@ class TestFiniteDifferenceOracle:
             fd_jacobian(z, VariantKind.V3, h=0.0)
         with pytest.raises(ValueError):
             fd_jacobian(z, VariantKind.V3, eps=0.0)
+
+
+def loop_fd_full_rows(z, kind, eps, h):
+    """_fd_full_rows as it was written with two variant_weights calls per
+    perturbed column on rows stored contiguously: the reference for the
+    stencil that holds the samples innermost."""
+    n, t = z.shape
+    mask = np.ones_like(z, dtype=bool)
+    out = np.empty((n, t, t))
+    for k in range(t):
+        bump = np.zeros(t)
+        bump[k] = h
+        plus = variant_weights(z + bump, mask, kind, eps)
+        minus = variant_weights(z - bump, mask, kind, eps)
+        out[:, :, k] = (plus - minus) / (2.0 * h)
+    return out
+
+
+def stencil_rows(t, rng):
+    """Random rows, then rows whose min or max sits at or within one step of
+    0, where the v4 clamps switch inside the stencil, and a tied extremum."""
+    rows = [*rng.uniform(-8.0, 8.0, size=(200, t))]
+    for v in (0.0, -0.0, FD_STEP / 3, -FD_STEP / 3, FD_STEP, -FD_STEP):
+        above = rng.uniform(0.5, 8.0, t)
+        above[0] = v
+        below = -rng.uniform(0.5, 8.0, t)
+        below[-1] = v
+        rows += [above, below]
+    tied = rng.uniform(-8.0, 8.0, t)
+    tied[-1] = tied.min()
+    return np.array(rows + [tied])
+
+
+class TestStencil:
+    """_fd_full_rows against the per-column loop, across memory layouts, and
+    by the number of kernel calls it makes."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_matches_per_column_loop(self, kind):
+        rng = np.random.default_rng(83)
+        for t in range(1, 13):
+            z = stencil_rows(t, rng)
+            got = _fd_full_rows(z, kind, DEFAULT_EPS, FD_STEP)
+            want = loop_fd_full_rows(z, kind, DEFAULT_EPS, FD_STEP)
+            if t <= 7:
+                assert got.tobytes() == want.tobytes(), t
+            else:
+                # the softmax sums rows of 8 or more in another order
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-9, err_msg=str(t))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_independent_of_memory_layout(self, kind):
+        rng = np.random.default_rng(84)
+        for t in range(1, 10):
+            z = rng.uniform(-8.0, 8.0, size=(50, t))
+            spaced = np.zeros((100, 2 * t))
+            spaced[::2, ::2] = z
+            layouts = (np.ascontiguousarray(z), np.asfortranarray(z), spaced[::2, ::2])
+            for helper in (lambda x: _fd_full_rows(x, kind, DEFAULT_EPS, FD_STEP),
+                           lambda x: _jacobian_full_rows(x, kind, DEFAULT_EPS)):
+                want, *rest = (helper(x) for x in layouts)
+                assert want.strides[0] == want.itemsize, "samples innermost"
+                for got in rest:
+                    assert got.tobytes() == want.tobytes(), t
+            rows = (z[0].copy(), np.asfortranarray(z)[0], spaced[0, ::2])
+            for oracle in (fd_jacobian, variant_jacobian):
+                want, *rest = (oracle(row, kind).entries for row in rows)
+                for got in rest:
+                    assert got.tobytes() == want.tobytes(), t
+
+    def test_one_block_makes_few_kernel_calls(self, monkeypatch):
+        # four calls for a t = 8 block: two signs of four columns each
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0].shape)
+            return variant_weights(*args)
+
+        monkeypatch.setattr(jacobians, "variant_weights", counting)
+        gradcheck(samples=10, t_range=(8, 8), kinds=(VariantKind.V4,))
+        assert len(calls) <= 4, calls
 
 
 class TestGradcheck:
