@@ -5,10 +5,10 @@ Inputs are stacks of shape (..., T, d); leading axes are batch axes, so one
 call serves both a single head and the trainer's (B, T, d) batch. The forward
 pass computes z = (QK^T) * (1/sqrt(d)) (+ bias), applies the selected scoring
 function under the causal mask, and returns the weighted sum of values. The
-backward pass maps the weight-space gradient to the logits with the batched
-vector-Jacobian product, O(T) memory per query row and exact. It reads the
-softmax, the scaler and the RoPE tables that the forward kept in its cache
-instead of computing them again.
+backward pass maps the weight-space gradient to the logit gradient dz = dL/dz
+(also dL/dbias) with the batched vector-Jacobian product, exact and O(T)
+memory per query row, and returns dz with dq, dk and dv. It reads the softmax,
+the scaler and the RoPE tables that the forward kept instead of recomputing.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ class AttentionCache:
     rope_base: float
     cos: np.ndarray | None
     sin: np.ndarray | None
-    has_bias: bool
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,7 @@ class AttentionGrads:
     dq: np.ndarray
     dk: np.ndarray
     dv: np.ndarray
-    dbias: np.ndarray | None
+    dz: np.ndarray
 
 
 def _as_stack(name: str, x: np.ndarray) -> np.ndarray:
@@ -193,13 +192,12 @@ def attention_forward(inp: AttentionInput) -> tuple[np.ndarray, AttentionCache]:
         q_rot=q_rot, k_rot=k_rot, v=v, scores=scores, softmax=softmax, scaler=scaler,
         weights=weights, mask=mask, eps=inp.eps,
         scale=1.0 / np.sqrt(float(q.shape[-1])), rope_base=inp.rope_base,
-        cos=cos, sin=sin, has_bias=inp.bias is not None,
-    )
+        cos=cos, sin=sin)
     return out, cache
 
 
 def attention_backward(cache: AttentionCache, d_out: np.ndarray) -> AttentionGrads:
-    """Exact gradients of the attention output with respect to q, k, v, bias.
+    """Exact gradients of the attention output at q, k, v and the logits z.
 
     The weight-space gradient d_out @ v^T is pulled back to the logits by
     the core of variant_weight_vjp, batched over every query row of every
@@ -222,5 +220,4 @@ def attention_backward(cache: AttentionCache, d_out: np.ndarray) -> AttentionGra
         dk = _rotate_back(dk_rot, cache.cos, cache.sin)
     else:
         dq, dk = dq_rot, dk_rot
-    dbias = dz if cache.has_bias else None
-    return AttentionGrads(dq=dq, dk=dk, dv=dv, dbias=dbias)
+    return AttentionGrads(dq=dq, dk=dk, dv=dv, dz=dz)

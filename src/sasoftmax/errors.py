@@ -60,7 +60,7 @@ class CheckpointError(SaSoftmaxError, ValueError):
 
 class ConfigError(SaSoftmaxError, ValueError):
     """A run setting is out of range: a config field, a sweep or gradcheck
-    argument, or a variant name. The CLI exits 2 on it."""
+    argument, or a variant name or kind. The CLI exits 2 on it."""
 
 
 def _require_positive(name: str, value: float) -> None:

@@ -66,6 +66,8 @@ class TrainConfig:
     init_std: float = 0.02
 
     def __post_init__(self):
+        if not isinstance(self.kind, VariantKind):
+            raise ConfigError(f"kind must be a VariantKind, got {self.kind!r}")
         for name in ("layers", "d_model", "seq_len", "batch"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, EmptyRow, NonFiniteInput, _require_positive
+from .errors import ConfigError, EmptyRow, NonFiniteInput, ShapeMismatch, _require_positive
 
 DEFAULT_EPS = 1e-10
 
@@ -64,7 +64,7 @@ def _checked_values(z) -> np.ndarray:
     """One row of live logits as a float64 array, checked for shape and values."""
     values = np.asarray(z, dtype=np.float64)
     if values.ndim != 1:
-        raise ValueError(f"logit row must be 1-D, got shape {values.shape}")
+        raise ShapeMismatch(f"logit row must be 1-D, got shape {values.shape}")
     if values.shape[0] < 1:
         raise EmptyRow("logit row must have at least one entry")
     if not np.all(np.isfinite(values)):
@@ -141,7 +141,7 @@ def _scaler(scores: np.ndarray, mask: np.ndarray, kind: VariantKind, eps: float)
         lo_live = (mn < 0.0).astype(np.float64)
         hi_live = (mx > 0.0).astype(np.float64)
     else:
-        raise ValueError(f"unhandled kind {kind}")
+        raise ConfigError(f"kind must be a VariantKind, got {kind!r}")
     return _Scaler(np.where(mask, scores - lo, 0.0), hi - lo + eps, amin, amax,
                    lo_live, hi_live)
 

@@ -311,7 +311,7 @@ class TestBackward:
         second = attention_backward(cache, d_out)
         assert [a.tobytes() for a in arrays] == before
         assert cached_bytes(cache) == kept
-        for name in ("dq", "dk", "dv", "dbias"):
+        for name in ("dq", "dk", "dv", "dz"):
             assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
 
     def test_cache_mismatch(self):
@@ -388,19 +388,21 @@ class TestBackward:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_reads_same_dz_as_public_vjp(self, kind):
         # the backward's dz comes from the factors its forward kept; the
-        # public variant_weight_vjp recomputes them from the scores, bitwise
+        # public variant_weight_vjp recomputes them from the scores, bitwise,
+        # and the backward returns it whether or not a bias was given
         rng = np.random.default_rng(104)
         q, k, v, d_out = rng.normal(size=(4, 2, 5, 4))
-        bias = rng.normal(size=(2, 5, 5))
-        _, cache = attention_forward(AttentionInput(q, k, v, kind=kind, bias=bias, rope=True))
-        grads = attention_backward(cache, d_out)
-        dz = variant_weight_vjp(cache.scores, causal_mask(5), d_out @ np.swapaxes(v, -1, -2),
-                                kind, cache.eps)
-        assert np.array_equal(grads.dbias, dz)
-        dq = rope_rotate_back((dz @ cache.k_rot) * cache.scale, cache.rope_base)
-        dk = rope_rotate_back((np.swapaxes(dz, -1, -2) @ cache.q_rot) * cache.scale,
-                              cache.rope_base)
-        assert np.array_equal(grads.dq, dq) and np.array_equal(grads.dk, dk)
+        for bias in (rng.normal(size=(2, 5, 5)), None):
+            _, cache = attention_forward(
+                AttentionInput(q, k, v, kind=kind, bias=bias, rope=True))
+            grads = attention_backward(cache, d_out)
+            dz = variant_weight_vjp(cache.scores, causal_mask(5),
+                                    d_out @ np.swapaxes(v, -1, -2), kind, cache.eps)
+            assert np.array_equal(grads.dz, dz)
+            dq = rope_rotate_back((dz @ cache.k_rot) * cache.scale, cache.rope_base)
+            dk = rope_rotate_back((np.swapaxes(dz, -1, -2) @ cache.q_rot) * cache.scale,
+                                  cache.rope_base)
+            assert np.array_equal(grads.dq, dq) and np.array_equal(grads.dk, dk)
 
     def test_bias_gradient(self):
         rng = np.random.default_rng(101)
@@ -412,13 +414,7 @@ class TestBackward:
         grads = attention_backward(cache, 2.0 * out)
         fd = fd_input_grad(
             lambda: loss_and_grads(q, k, v, VariantKind.V3, bias=bias)[0], bias)
-        denom = np.maximum(np.maximum(np.abs(grads.dbias), np.abs(fd)), 1e-3)
-        assert (np.abs(grads.dbias - fd) / denom).max() < 1e-6
-        assert np.all(grads.dbias[np.triu_indices(t, 1)] == 0.0)
-
-    def test_no_bias_means_no_bias_grad(self):
-        rng = np.random.default_rng(102)
-        q, k, v = rng.normal(size=(3, 3, 2))
-        _, cache = attention_forward(AttentionInput(q, k, v))
-        grads = attention_backward(cache, np.ones((3, 2)))
-        assert grads.dbias is None
+        # with a bias, the logit gradient dz is the bias gradient
+        denom = np.maximum(np.maximum(np.abs(grads.dz), np.abs(fd)), 1e-3)
+        assert (np.abs(grads.dz - fd) / denom).max() < 1e-6
+        assert np.all(grads.dz[np.triu_indices(t, 1)] == 0.0)

@@ -34,7 +34,11 @@ BAD_SETTINGS = {
     "train_layers_0": lambda: TrainConfig(corpus_path="", layers=0),
     "train_betas": lambda: TrainConfig(corpus_path="", adam_betas=(1.0, 0.95)),
     "train_odd_rope": lambda: TrainConfig(corpus_path="", d_model=7),
+    "train_kind_str": lambda: TrainConfig(corpus_path="", kind="v4"),
     "kind_name": lambda: VariantKind.from_string("v9"),
+    "row_kind_str": lambda: apply_variant(ROW, "v4"),
+    "attention_kind_str": lambda: attention_forward(
+        AttentionInput(TIED.T, TIED.T, TIED.T, kind="v1")),
     "sweep_no_gaps": lambda: SweepSpec(gaps=()),
     "sweep_gap_nan": lambda: SweepSpec(gaps=(1.0, NAN)),
     "sweep_gap_inf": lambda: SweepSpec(gaps=(-INF,)),

@@ -13,6 +13,7 @@ from sasoftmax import (
     ALL_KINDS,
     EmptyRow,
     NonFiniteInput,
+    ShapeMismatch,
     VariantKind,
     apply_variant,
     masked_extrema,
@@ -59,7 +60,7 @@ class TestSoftmaxRow:
             apply_variant([], BASELINE)
 
     def test_two_dimensional_row_rejected(self):
-        with pytest.raises(ValueError, match="1-D"):
+        with pytest.raises(ShapeMismatch, match="1-D"):
             apply_variant([[1.0, 2.0]], BASELINE)
 
     def test_nonfinite_live_entry_rejected(self):
