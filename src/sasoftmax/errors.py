@@ -9,7 +9,8 @@ class SaSoftmaxError(Exception):
 
 
 class EmptyRow(SaSoftmaxError):
-    """A row operation received a logit row with no entries."""
+    """A row operation received a logit row with no entries, or a batched
+    kernel a mask row with no live entry."""
 
 
 class NonFiniteInput(SaSoftmaxError):
@@ -18,7 +19,8 @@ class NonFiniteInput(SaSoftmaxError):
 
 
 class ShapeMismatch(SaSoftmaxError):
-    """Array arguments disagree on sequence length or feature dimension."""
+    """Array arguments disagree on sequence length or feature dimension, or a
+    mask or upstream gradient does not broadcast to the scores' shape."""
 
 
 class OddHeadDim(SaSoftmaxError):

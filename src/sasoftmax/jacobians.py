@@ -1,28 +1,27 @@
 """Analytic Jacobians of the scoring variants and a finite-difference harness.
 
-For a live row z with s = softmax(z), scaler c = (z - lo) / d and weights
-w = c * s, the Jacobian entry J[j][k] = dw_j/dz_k splits into
+The one analytic path is _weight_vjp, the batched vector-Jacobian product
+that the attention backward, and so the trainer, runs. For a live row z with
+s = softmax(z), scaler c = (z - lo) / d and weights w = c * s, it pulls dL/dw
+back to dL/dz through the scaler-weighted softmax and through the scaler.
+lo and d follow at most the row's min and max, so they move only at the
+argmin/argmax (the lowest tied index), by the two gates per kind that
+variants._scaler defines. The v4 clamps min(x_min, 0) / max(x_max, 0) pass
+gradient only while strictly active (x_min < 0, x_max > 0); at the boundary
+the constant branch owns the derivative.
 
-    J[j][k] = dc[j][k] * s_j  +  c_j * s_j * (1[j=k] - s_k)
-
-where the second term is the usual softmax Jacobian weighted by the scaler
-and the first routes gradient through the scaler:
-
-    dc[j][k] = (1[j=k] - dlo/dz_k) / d  -  c_j / d * dd/dz_k
-
-lo and d follow at most the row's min and max, so dlo/dz and dd/dz are
-nonzero only at the argmin/argmax (the lowest tied index). Where d is not
-constant it is hi - lo + eps, so dd/dz = dhi/dz - dlo/dz. The two gates
-dlo/dz[argmin] and dhi/dz[argmax] per kind come from variants._scaler, which
-both the batched VJP and the closed form read. The v4 clamps min(x_min, 0) /
-max(x_max, 0) pass gradient only while strictly active (x_min < 0,
-x_max > 0); at the boundary the constant branch owns the derivative.
+Every dense Jacobian (variant_jacobian, gradcheck's analytic side and, through
+variant_jacobian, the saturation sweep) is built from that VJP: row j of a
+row's Jacobian is the VJP of the basis vector e_j. Central differences
+(fd_jacobian, gradcheck's other side) are the independent oracle here; the
+entrywise closed form, with its derivation, is a test oracle in tests/.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -33,6 +32,7 @@ from .variants import (
     ALL_KINDS,
     VariantKind,
     _Scaler,
+    _check_batch,
     _checked_values,
     _ordered_kinds,
     _weights,
@@ -74,39 +74,32 @@ class GradCheckReport(NamedTuple):
 def _sub_at(a: np.ndarray, idx: np.ndarray, v: np.ndarray) -> None:
     """a[..., idx] -= v in place along the last axis, for any memory layout.
 
-    idx has a's shape with a last axis of length 1; v broadcasts to it.
+    idx has a's number of axes, a last axis of length 1, and broadcasts to
+    a's other axes; v broadcasts to the shape they give.
     """
     np.put_along_axis(a, idx, np.take_along_axis(a, idx, axis=-1) - v, axis=-1)
 
 
 def _jacobian_full_rows(z: np.ndarray, kind: VariantKind, eps: float) -> np.ndarray:
-    """Batched closed-form Jacobians for fully live rows. z: (N, T) -> (N, T, T),
-    with the samples innermost in memory, as _fd_full_rows returns them."""
-    z = np.asfortranarray(z, dtype=np.float64)
-    s, sc, cs = _weights(z, np.ones_like(z, dtype=bool), kind, eps)
+    """Batched Jacobians for fully live rows, z: (N, T) -> (N, T, T), with the
+    samples innermost in memory, as _fd_full_rows returns them.
 
-    # Scaler-weighted softmax part: diag(c*s) - outer(c*s, s).
-    jac = -cs[:, :, np.newaxis] * s[:, np.newaxis, :]
-    diag = np.arange(z.shape[1])
-    jac[:, diag, diag] += cs
-    if sc is None:
-        return jac
-
-    # Scaler part dc[j][k] * s_j with c = (z - lo) / d: the identity term,
-    # then the lo gate and d's two gates (hi, -lo) in the argmin/argmax
-    # columns of each row.
-    jac[:, diag, diag] += s / sc.d
-    if sc.lo_at_min is not None:
-        _sub_at(jac, sc.amin[:, np.newaxis], (sc.lo_at_min * s / sc.d)[..., np.newaxis])
-    if sc.hi_at_max is not None:
-        quot = sc.u * s / (sc.d * sc.d)
-        _sub_at(jac, sc.amax[:, np.newaxis], (sc.hi_at_max * quot)[..., np.newaxis])
-        _sub_at(jac, sc.amin[:, np.newaxis], (-sc.lo_at_min * quot)[..., np.newaxis])
-    return jac
+    One _weight_vjp call on a stack of the T basis vectors gives every row of
+    every block. The rows carry a leading axis of length 1, so the scaler's
+    argmin/argmax have the stack's number of axes, as _sub_at needs.
+    """
+    n, t = z.shape
+    rows = np.asfortranarray(z, dtype=np.float64)[np.newaxis]
+    mask = np.ones_like(rows, dtype=bool)
+    # memory order (j, k, sample), viewed as (j, sample, k); basis[j, :, j] = 1
+    basis = np.zeros((t, t, n)).transpose(0, 2, 1)
+    basis[np.arange(t), :, np.arange(t)] = 1.0
+    return _weight_vjp(mask, basis, *_weights(rows, mask, kind, eps)).transpose(1, 0, 2)
 
 
 def variant_jacobian(z, kind: VariantKind, eps: float = DEFAULT_EPS) -> JacobianBlock:
-    """Closed-form Jacobian of apply_variant with respect to the logit row."""
+    """Jacobian of apply_variant with respect to the logit row, built from the
+    trainer's VJP: row j is variant_weight_vjp of the basis vector e_j."""
     values = _checked_values(z)
     return JacobianBlock(entries=_jacobian_full_rows(values[np.newaxis, :], kind, eps)[0])
 
@@ -212,10 +205,10 @@ def gradcheck(samples: int, t_range: tuple[int, int] = (1, 8),
             # so the worst entry is the lowest flat index among ties.
             worst = eff_rel.argmax(axis=1)
             max_rel = eff_rel[np.arange(samples), worst]
-            rows = zip(max_abs.tolist(), max_rel.tolist(),
-                       zip((worst // t).tolist(), (worst % t).tolist()),
-                       (max_rel <= tol_rel).tolist(), ties.tolist())
-            reports += [GradCheckReport(kind, t, i, *row) for i, row in enumerate(rows)]
+            reports += map(GradCheckReport._make, zip(
+                repeat(kind), repeat(t), range(samples), max_abs.tolist(), max_rel.tolist(),
+                zip((worst // t).tolist(), (worst % t).tolist()),
+                (max_rel <= tol_rel).tolist(), ties.tolist()))
     return reports
 
 
@@ -232,6 +225,8 @@ def variant_weight_vjp(scores: np.ndarray, mask: np.ndarray, grad_w: np.ndarray,
     O(T) memory per row. Masked entries of the result are exactly 0.
     """
     scores = np.asarray(scores, dtype=np.float64)
+    _check_batch(scores, mask, grad_w)
+    grad_w = np.broadcast_to(grad_w, scores.shape)
     return _weight_vjp(mask, grad_w, *_weights(scores, mask, kind, eps))
 
 

@@ -13,8 +13,12 @@ per-row lo and d:
 The batched kernels take scores of shape (..., T) with a boolean mask of
 live (causal) positions: extrema are taken over the live entries only, ties
 resolve to the lowest index, and masked positions are forced to exactly 0 in
-every output. The single-row API (apply_variant, and the Jacobians built on
-it) takes one row of live logits and no mask. All arithmetic is 64-bit.
+every output. variant_weights, variant_scaler and jacobians.variant_weight_vjp
+raise ShapeMismatch unless the mask broadcasts to the scores' shape, and
+EmptyRow unless every row has a live entry. masked_softmax and
+masked_extrema, which the attention layer runs on its own causal mask, check
+nothing. The single-row API (apply_variant, and the Jacobians built on it)
+takes one row of live logits and no mask. All arithmetic is 64-bit.
 """
 
 from __future__ import annotations
@@ -72,6 +76,27 @@ def _checked_values(z) -> np.ndarray:
     return values
 
 
+def _check_batch(scores, mask, grad_w=None) -> None:
+    """The batched kernels' input contract, read from shapes and the mask only:
+    the mask (and an upstream gradient) broadcast to the scores' shape, and
+    every row of the mask has a live entry."""
+    target = np.shape(scores)
+    if not target:
+        raise ShapeMismatch("scores need a row axis, got a scalar")
+    for name, a in (("mask", mask), ("grad_w", grad_w)):
+        if a is None:
+            continue
+        try:
+            ok = np.broadcast_shapes(np.shape(a), target) == target
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ShapeMismatch(f"{name} shape {np.shape(a)} does not broadcast to "
+                                f"the scores' shape {target}")
+    if not np.all(np.any(np.atleast_1d(mask), axis=-1)):
+        raise EmptyRow("every row of the mask needs a live entry")
+
+
 # ---------------------------------------------------------------------------
 # Masked array kernels. These operate on arrays of shape (..., T) with a
 # boolean mask of live positions and are shared by the row API and the
@@ -82,7 +107,7 @@ def masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Row-stochastic softmax over masked rows; masked entries come out 0.
 
     Computed with per-row max subtraction. Every row of ``mask`` must have at
-    least one live entry.
+    least one live entry; a row without one comes out NaN, unchecked.
     """
     e = np.where(mask, scores, -np.inf)
     e -= np.max(e, axis=-1, keepdims=True)
@@ -153,8 +178,9 @@ def variant_scaler(scores: np.ndarray, mask: np.ndarray, kind: VariantKind,
     Masked entries are returned as 0 (their value is never used).
     """
     _require_positive("eps", eps)
+    _check_batch(scores, mask)
     if kind is VariantKind.BASELINE:
-        return np.where(mask, 1.0, 0.0)
+        return np.where(mask, np.ones(np.shape(scores)), 0.0)
     sc = _scaler(scores, mask, kind, eps)
     return sc.u / sc.d
 
@@ -178,6 +204,7 @@ def _weights(scores: np.ndarray, mask: np.ndarray, kind: VariantKind,
 def variant_weights(scores: np.ndarray, mask: np.ndarray, kind: VariantKind,
                     eps: float = DEFAULT_EPS) -> np.ndarray:
     """scaler(x) * softmax(x) on live entries, exact 0 on masked ones."""
+    _check_batch(scores, mask)
     return _weights(scores, mask, kind, eps)[2]
 
 

@@ -1,5 +1,6 @@
 """Every bad run setting raises the one ConfigError, which is both a library
-error and a ValueError."""
+error and a ValueError; bad input to the batched kernels raises EmptyRow or
+ShapeMismatch."""
 
 import numpy as np
 import pytest
@@ -7,16 +8,20 @@ import pytest
 from sasoftmax import (
     AttentionInput,
     ConfigError,
+    EmptyRow,
     SaSoftmaxError,
+    ShapeMismatch,
     SweepSpec,
     TrainConfig,
     VariantKind,
     apply_variant,
     attention_forward,
+    causal_mask,
     fd_jacobian,
     gradcheck,
     saturation_sweep,
     variant_jacobian,
+    variant_scaler,
     variant_weight_vjp,
     variant_weights,
 )
@@ -64,6 +69,32 @@ BAD_SETTINGS = {
     "gradcheck_seed_neg": lambda: gradcheck(samples=1, t_range=(1, 2), seed=-1),
 }
 
+# (2, 3) scores whose second row has no live entry
+SCORES = np.ones((2, 3))
+NO_LIVE = np.array([[True, False, False], [False, False, False]])
+V4 = VariantKind.V4
+
+BAD_INPUTS = {
+    "weights_empty_row": (EmptyRow, lambda: variant_weights(SCORES, NO_LIVE, V4)),
+    "weights_baseline_empty_row": (
+        EmptyRow, lambda: variant_weights(SCORES, NO_LIVE, VariantKind.BASELINE)),
+    "weights_empty_1d_row": (
+        EmptyRow, lambda: variant_weights(SCORES[0], np.zeros(3, dtype=bool), V4)),
+    "scaler_v3_empty_row": (EmptyRow, lambda: variant_scaler(SCORES, NO_LIVE, V3)),
+    "vjp_empty_row": (EmptyRow, lambda: variant_weight_vjp(SCORES, NO_LIVE, SCORES, V4)),
+    "weights_mask_shape": (
+        ShapeMismatch, lambda: variant_weights(SCORES, np.ones((2, 2), dtype=bool), V4)),
+    "weights_mask_wider": (
+        ShapeMismatch, lambda: variant_weights(SCORES, np.ones((4, 2, 3), dtype=bool), V4)),
+    "weights_scalar_scores": (ShapeMismatch, lambda: variant_weights(1.0, True, V4)),
+    "scaler_mask_shape": (
+        ShapeMismatch, lambda: variant_scaler(SCORES, np.ones((3, 3), dtype=bool), V3)),
+    "vjp_mask_shape": (ShapeMismatch, lambda: variant_weight_vjp(
+        SCORES, np.ones((2, 2), dtype=bool), SCORES, V4)),
+    "vjp_grad_shape": (ShapeMismatch, lambda: variant_weight_vjp(
+        SCORES, np.ones((2, 3), dtype=bool), np.ones((2, 2)), V4)),
+}
+
 
 def test_config_error_is_library_error_and_value_error():
     assert issubclass(ConfigError, SaSoftmaxError)
@@ -74,6 +105,30 @@ def test_config_error_is_library_error_and_value_error():
 def test_bad_setting_raises_config_error(name):
     with pytest.raises(ConfigError):
         BAD_SETTINGS[name]()
+
+
+@pytest.mark.parametrize("name", BAD_INPUTS)
+def test_bad_kernel_input_raises_named_error(name):
+    error, call = BAD_INPUTS[name]
+    with pytest.raises(error):
+        call()
+
+
+def test_shared_mask_broadcasts_over_batch():
+    # one (T, T) causal mask serves (B, T, T) scores, and a mask row of
+    # length 1 broadcasts along its row
+    scores = np.random.default_rng(1).uniform(-3, 3, (2, 4, 4))
+    grad_w = np.ones((4, 4))
+    for kind in (VariantKind.BASELINE, V3, V4):
+        w = variant_weights(scores, causal_mask(4), kind)
+        assert w.shape == scores.shape
+        assert w[1].tobytes() == variant_weights(scores[1], causal_mask(4), kind).tobytes()
+        assert variant_scaler(scores, causal_mask(4), kind).shape == scores.shape
+        dz = variant_weight_vjp(scores, causal_mask(4), grad_w, kind)
+        assert dz.shape == scores.shape
+    whole_rows = variant_weights(scores, np.ones((4, 1), dtype=bool), V4)
+    live = variant_weights(scores, np.ones((4, 4), dtype=bool), V4)
+    assert whole_rows.tobytes() == live.tobytes()
 
 
 def test_finite_negative_and_zero_gaps_accepted():

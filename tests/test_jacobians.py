@@ -1,5 +1,5 @@
-"""Jacobian tests: closed forms against frozen values, the finite-difference
-oracle, and the gradcheck harness."""
+"""Jacobian tests: the VJP-built Jacobians against frozen values and the
+closed-form oracle, the finite-difference oracle, and the gradcheck harness."""
 
 import json
 
@@ -27,7 +27,9 @@ from sasoftmax.jacobians import (
     _jacobian_full_rows,
     _tie_rows,
 )
-from sasoftmax.variants import variant_weights
+from sasoftmax.variants import _weights, variant_weights
+
+from closed_form import closed_form_jacobians
 
 
 def transposed_strides(x):
@@ -36,7 +38,7 @@ def transposed_strides(x):
 
 
 class TestSoftmaxJacobian:
-    """The baseline closed form is the softmax Jacobian diag(a) - a a^T."""
+    """The baseline Jacobian is the softmax Jacobian diag(a) - a a^T."""
 
     def test_uniform_pair(self):
         block = variant_jacobian([0.0, 0.0], VariantKind.BASELINE)
@@ -242,6 +244,28 @@ class TestStencil:
         assert len(calls) <= 4, calls
 
 
+class TestClosedFormOracle:
+    """Every analytic Jacobian in the package is built from the VJP; the
+    entrywise closed form checks it, ties and v4 clamp rows included."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_vjp_built_jacobians_match(self, kind):
+        rng = np.random.default_rng(85)
+        for t in range(1, 13):
+            z = stencil_rows(t, rng)
+            want = closed_form_jacobians(z, kind)
+            # Entries sum terms of size s_j / d, so round-off grows as 1 / d.
+            # One v3 row here has d = 1.6e-4; there the two forms differ by
+            # 4.6e-13, and each differs from a 50-digit evaluation by 3e-13.
+            sc = _weights(z, np.ones_like(z, dtype=bool), kind, DEFAULT_EPS)[1]
+            d = np.broadcast_to(1.0 if sc is None else sc.d, (len(z), 1))
+            tol = np.maximum(1e-13, 1e-16 / d)[..., np.newaxis]
+            got = _jacobian_full_rows(z, kind, DEFAULT_EPS)
+            assert np.all(np.abs(got - want) <= tol), t
+            for row, block, row_tol in zip(z, want, tol):
+                assert np.all(np.abs(variant_jacobian(row, kind).entries - block) <= row_tol), t
+
+
 class TestGradcheck:
     def test_small_suite_passes(self):
         reports = gradcheck(samples=50, t_range=(1, 6), tol_rel=1e-6, seed=7)
@@ -356,7 +380,7 @@ class TestWeightVjp:
         for b in range(4):
             for i in range(t):
                 # the live block of row i, over its prefix scores[b, i, :i+1]
-                block = variant_jacobian(scores[b, i, :i + 1], kind).entries
+                block = closed_form_jacobians(scores[b, i, np.newaxis, :i + 1], kind)[0]
                 np.testing.assert_allclose(dz[b, i, :i + 1], block.T @ grad_w[b, i, :i + 1],
                                            atol=1e-12)
 
