@@ -30,7 +30,6 @@ from .variants import (
 from .jacobians import (
     GradCheckReport,
     JacobianBlock,
-    fd_jacobian,
     gradcheck,
     reports_to_json,
     variant_jacobian,

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CacheMismatch, NonFiniteInput, OddHeadDim, ShapeMismatch
-from .jacobians import _weight_vjp
-from .variants import DEFAULT_EPS, VariantKind, _Scaler, _weights
+from .variants import DEFAULT_EPS, VariantKind, _Scaler, _weight_vjp, _weights
 
 
 def causal_mask(t: int) -> np.ndarray:
@@ -200,8 +199,8 @@ def attention_backward(cache: AttentionCache, d_out: np.ndarray) -> AttentionGra
     """Exact gradients of the attention output at q, k, v and the logits z.
 
     The weight-space gradient d_out @ v^T is pulled back to the logits by
-    the core of variant_weight_vjp, batched over every query row of every
-    stack, from the softmax and scaler the forward kept.
+    variants._weight_vjp, batched over every query row of every stack, from
+    the softmax and scaler the forward kept.
     """
     d_out = np.asarray(d_out, dtype=np.float64)
     if d_out.shape != cache.v.shape:

@@ -1,20 +1,14 @@
-"""Analytic Jacobians of the scoring variants and a finite-difference harness.
+"""The gradient oracles: public Jacobians and VJP of the scoring variants,
+and the central-difference harness that checks them.
 
-The one analytic path is _weight_vjp, the batched vector-Jacobian product
-that the attention backward, and so the trainer, runs. For a live row z with
-s = softmax(z), scaler c = (z - lo) / d and weights w = c * s, it pulls dL/dw
-back to dL/dz through the scaler-weighted softmax and through the scaler.
-lo and d follow at most the row's min and max, so they move only at the
-argmin/argmax (the lowest tied index), by the two gates per kind that
-variants._scaler defines. The v4 clamps min(x_min, 0) / max(x_max, 0) pass
-gradient only while strictly active (x_min < 0, x_max > 0); at the boundary
-the constant branch owns the derivative.
-
-Every dense Jacobian (variant_jacobian, gradcheck's analytic side and, through
-variant_jacobian, the saturation sweep) is built from that VJP: row j of a
-row's Jacobian is the VJP of the basis vector e_j. Central differences
-(fd_jacobian, gradcheck's other side) are the independent oracle here; the
-entrywise closed form, with its derivation, is a test oracle in tests/.
+The one analytic gradient is variants._weight_vjp, the batched
+vector-Jacobian product that the attention backward, and so the trainer,
+runs. variant_weight_vjp is its checked public form. Every dense Jacobian
+(variant_jacobian, gradcheck's analytic side and, through variant_jacobian,
+the saturation sweep) is built from it: row j of a row's Jacobian is the VJP
+of the basis vector e_j. Central differences (_fd_full_rows, gradcheck's other
+side) are the independent oracle here; the entrywise closed form, with its
+derivation, is a test oracle in tests/.
 """
 
 from __future__ import annotations
@@ -31,10 +25,10 @@ from .variants import (
     DEFAULT_EPS,
     ALL_KINDS,
     VariantKind,
-    _Scaler,
     _check_batch,
     _checked_values,
     _ordered_kinds,
+    _weight_vjp,
     _weights,
     variant_weights,
 )
@@ -71,22 +65,13 @@ class GradCheckReport(NamedTuple):
     skipped_tie: bool
 
 
-def _sub_at(a: np.ndarray, idx: np.ndarray, v: np.ndarray) -> None:
-    """a[..., idx] -= v in place along the last axis, for any memory layout.
-
-    idx has a's number of axes, a last axis of length 1, and broadcasts to
-    a's other axes; v broadcasts to the shape they give.
-    """
-    np.put_along_axis(a, idx, np.take_along_axis(a, idx, axis=-1) - v, axis=-1)
-
-
 def _jacobian_full_rows(z: np.ndarray, kind: VariantKind, eps: float) -> np.ndarray:
     """Batched Jacobians for fully live rows, z: (N, T) -> (N, T, T), with the
     samples innermost in memory, as _fd_full_rows returns them.
 
     One _weight_vjp call on a stack of the T basis vectors gives every row of
     every block. The rows carry a leading axis of length 1, so the scaler's
-    argmin/argmax have the stack's number of axes, as _sub_at needs.
+    argmin/argmax have the stack's number of axes, as variants._sub_at needs.
     """
     n, t = z.shape
     rows = np.asfortranarray(z, dtype=np.float64)[np.newaxis]
@@ -102,13 +87,6 @@ def variant_jacobian(z, kind: VariantKind, eps: float = DEFAULT_EPS) -> Jacobian
     trainer's VJP: row j is variant_weight_vjp of the basis vector e_j."""
     values = _checked_values(z)
     return JacobianBlock(entries=_jacobian_full_rows(values[np.newaxis, :], kind, eps)[0])
-
-
-def fd_jacobian(z, kind: VariantKind, eps: float = DEFAULT_EPS,
-                h: float = FD_STEP) -> JacobianBlock:
-    """Central-difference Jacobian oracle of apply_variant."""
-    values = _checked_values(z)
-    return JacobianBlock(entries=_fd_full_rows(values[np.newaxis, :], kind, eps, h)[0])
 
 
 def _tie_rows(z: np.ndarray, kind: VariantKind, h: float) -> np.ndarray:
@@ -160,20 +138,19 @@ def _fd_full_rows(z: np.ndarray, kind: VariantKind, eps: float, h: float) -> np.
 def gradcheck(samples: int, t_range: tuple[int, int] = (1, 8),
               kinds: tuple[VariantKind, ...] = ALL_KINDS,
               tol_rel: float = 1e-6, seed: int = 0,
-              eps: float = DEFAULT_EPS, h: float = FD_STEP,
-              abs_floor: float = ABS_FLOOR) -> list[GradCheckReport]:
+              h: float = FD_STEP) -> list[GradCheckReport]:
     """Compare analytic and central-difference Jacobians on random rows.
 
     Draws ``samples`` rows with entries uniform in [-8, 8] for every
     (row length, kind) pair; rows where the finite-difference stencil could
     cross an extrema tie are reported with skipped_tie=True and not compared.
-    Deterministic given the seed.
+    Deterministic given the seed. The variants run at DEFAULT_EPS.
 
-    At the default h and abs_floor, central differences are accurate to about
-    the floor, so the floor zeroes nearly every entry's error and the check is
-    in effect |analytic - fd| <= abs_floor per entry: at seed 7, 39 990 of the
-    39 993 compared rows of gradcheck(1000, (1, 8)) have max_rel_err == 0.0.
-    tol_rel only bites once abs_floor is lowered too.
+    At the default h, central differences are accurate to about the module's
+    absolute floor ABS_FLOOR, so the floor zeroes nearly every entry's error
+    and the check is in effect |analytic - fd| <= ABS_FLOOR per entry: at
+    seed 7, 39 990 of the 39 993 compared rows of gradcheck(1000, (1, 8))
+    have max_rel_err == 0.0. tol_rel only bites once ABS_FLOOR is lowered too.
     """
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}")
@@ -191,15 +168,15 @@ def gradcheck(samples: int, t_range: tuple[int, int] = (1, 8),
         for kind in kinds:
             z = rng.uniform(-8.0, 8.0, size=(samples, t))
             ties = _tie_rows(z, kind, h)
-            analytic = _jacobian_full_rows(z, kind, eps)
-            fd = _fd_full_rows(z, kind, eps, h)
+            analytic = _jacobian_full_rows(z, kind, DEFAULT_EPS)
+            fd = _fd_full_rows(z, kind, DEFAULT_EPS, h)
             abs_err = np.abs(analytic - fd).reshape(samples, -1)
             # The effective relative error, built in place of its denominator.
             # A tie row reads as all-zero error, so it comes out with entry
             # (0, 0) and passes, since tol_rel > 0.
             eff_rel = np.maximum(np.abs(analytic), np.abs(fd)).reshape(samples, -1)
             np.divide(abs_err, eff_rel, out=eff_rel, where=eff_rel > 0)
-            np.copyto(eff_rel, 0.0, where=(abs_err <= abs_floor) | ties[:, np.newaxis])
+            np.copyto(eff_rel, 0.0, where=(abs_err <= ABS_FLOOR) | ties[:, np.newaxis])
             max_abs = np.where(ties, 0.0, abs_err.max(axis=1))
             # Each row's reductions at once; argmax takes the first maximum,
             # so the worst entry is the lowest flat index among ties.
@@ -229,34 +206,3 @@ def variant_weight_vjp(scores: np.ndarray, mask: np.ndarray, grad_w: np.ndarray,
     grad_w = np.broadcast_to(grad_w, scores.shape)
     return _weight_vjp(mask, grad_w, *_weights(scores, mask, kind, eps))
 
-
-def _weight_vjp(mask: np.ndarray, grad_w: np.ndarray, s: np.ndarray,
-                sc: _Scaler | None, w: np.ndarray) -> np.ndarray:
-    """variant_weight_vjp from the softmax s, scaler sc and weights w = c * s
-    of the same scores, as variants._weights returns them; the attention
-    backward passes the ones its forward kept."""
-    # dz starts as a masked copy of grad_w; every later step writes only dz
-    # or gs, never an argument, and the masked entries are zeroed last.
-    dz = np.where(mask, grad_w, 0.0)
-    if sc is None:
-        dz *= s
-        dz -= s * np.sum(dz, axis=-1, keepdims=True)
-    else:
-        # Softmax part s_k * (g_k c_k - sum_j g_j w_j), then the scaler's
-        # identity term, its lo gate and d's two gates (hi, -lo).
-        gs = dz * s
-        gs_sum = np.sum(gs, axis=-1, keepdims=True)
-        dz *= w
-        gw_sum = np.sum(dz, axis=-1, keepdims=True)
-        dz -= s * gw_sum
-        gs /= sc.d
-        dz += gs
-        if sc.lo_at_min is not None:
-            _sub_at(dz, sc.amin, sc.lo_at_min * gs_sum / sc.d)
-        if sc.hi_at_max is not None:
-            # sum_j g_j s_j u_j / d^2 = gw_sum / d
-            quot = gw_sum / sc.d
-            _sub_at(dz, sc.amax, sc.hi_at_max * quot)
-            _sub_at(dz, sc.amin, -sc.lo_at_min * quot)
-    np.copyto(dz, 0.0, where=~mask)
-    return dz

@@ -19,6 +19,10 @@ EmptyRow unless every row has a live entry. masked_softmax and
 masked_extrema, which the attention layer runs on its own causal mask, check
 nothing. The single-row API (apply_variant, and the Jacobians built on it)
 takes one row of live logits and no mask. All arithmetic is 64-bit.
+
+_weight_vjp, next to the scaler whose gates it reads, is the one analytic
+gradient in the package: the attention backward and every Jacobian in
+jacobians run it.
 """
 
 from __future__ import annotations
@@ -56,12 +60,15 @@ ALL_KINDS = tuple(VariantKind)
 
 
 def _ordered_kinds(kinds) -> tuple[VariantKind, ...]:
-    """The distinct kinds in ALL_KINDS order; none at all is a ConfigError."""
-    wanted = set(kinds)
-    ordered = tuple(k for k in ALL_KINDS if k in wanted)
-    if not ordered:
+    """The distinct kinds in ALL_KINDS order. No kinds at all, or an entry
+    that is not a VariantKind, is a ConfigError."""
+    wanted = tuple(kinds)
+    for k in wanted:
+        if not isinstance(k, VariantKind):
+            raise ConfigError(f"kinds must hold VariantKind values, got {k!r}")
+    if not wanted:
         raise ConfigError("kinds must be non-empty")
-    return ordered
+    return tuple(k for k in ALL_KINDS if k in wanted)
 
 
 def _checked_values(z) -> np.ndarray:
@@ -206,6 +213,48 @@ def variant_weights(scores: np.ndarray, mask: np.ndarray, kind: VariantKind,
     """scaler(x) * softmax(x) on live entries, exact 0 on masked ones."""
     _check_batch(scores, mask)
     return _weights(scores, mask, kind, eps)[2]
+
+
+def _sub_at(a: np.ndarray, idx: np.ndarray, v: np.ndarray) -> None:
+    """a[..., idx] -= v in place along the last axis, for any memory layout.
+
+    idx has a's number of axes, a last axis of length 1, and broadcasts to
+    a's other axes; v broadcasts to the shape they give.
+    """
+    np.put_along_axis(a, idx, np.take_along_axis(a, idx, axis=-1) - v, axis=-1)
+
+
+def _weight_vjp(mask: np.ndarray, grad_w: np.ndarray, s: np.ndarray,
+                sc: _Scaler | None, w: np.ndarray) -> np.ndarray:
+    """dL/dz given dL/dw = grad_w, from the softmax s, scaler sc and weights
+    w = c * s of the same scores, as _weights returns them; 0 where masked.
+    The scaler passes gradient at the argmin/argmax by the gates of _scaler.
+    """
+    # dz starts as a masked copy of grad_w; every later step writes only dz
+    # or gs, never an argument, and the masked entries are zeroed last.
+    dz = np.where(mask, grad_w, 0.0)
+    if sc is None:
+        dz *= s
+        dz -= s * np.sum(dz, axis=-1, keepdims=True)
+    else:
+        # Softmax part s_k * (g_k c_k - sum_j g_j w_j), then the scaler's
+        # identity term, its lo gate and d's two gates (hi, -lo).
+        gs = dz * s
+        gs_sum = np.sum(gs, axis=-1, keepdims=True)
+        dz *= w
+        gw_sum = np.sum(dz, axis=-1, keepdims=True)
+        dz -= s * gw_sum
+        gs /= sc.d
+        dz += gs
+        if sc.lo_at_min is not None:
+            _sub_at(dz, sc.amin, sc.lo_at_min * gs_sum / sc.d)
+        if sc.hi_at_max is not None:
+            # sum_j g_j s_j u_j / d^2 = gw_sum / d
+            quot = gw_sum / sc.d
+            _sub_at(dz, sc.amax, sc.hi_at_max * quot)
+            _sub_at(dz, sc.amin, -sc.lo_at_min * quot)
+    np.copyto(dz, 0.0, where=~mask)
+    return dz
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,7 @@ of the matrix shares no code with the VJP but its in-place scatter _sub_at.
 
 import numpy as np
 
-from sasoftmax.jacobians import _sub_at
-from sasoftmax.variants import DEFAULT_EPS, _weights
+from sasoftmax.variants import DEFAULT_EPS, _sub_at, _weights
 
 
 def closed_form_jacobians(z, kind, eps=DEFAULT_EPS) -> np.ndarray:

@@ -24,6 +24,7 @@ from sasoftmax import (
 )
 
 from sasoftmax.attention import rope_tables
+from sasoftmax.jacobians import _tie_rows
 
 from oracle_matrix import reference_attention
 
@@ -251,13 +252,12 @@ def slice_loss_and_grads(q, k, v, kind, b, rope=False):
     return float(np.sum(out[b] * out[b])), attention_backward(cache, d_out)
 
 
-def near_tie(scores, kind, margin=1e-4):
-    """True if an FD step on a (T, T) logit matrix could cross an extrema tie
-    (or, for v4, flip a clamp branch)."""
-    live = [scores[i, : i + 1] for i in range(scores.shape[0])]
-    if min(np.diff(np.sort(row)).min(initial=np.inf) for row in live) < margin:
-        return True
-    return kind is VariantKind.V4 and min(np.abs(row).min() for row in live) < margin
+def near_tie(scores, kind, h=1e-6):
+    """True if an FD step h on (..., T, T) causal logits could cross an
+    extrema tie (or, for v4, flip a clamp branch) in any live prefix row,
+    by gradcheck's tie rule."""
+    return any(_tie_rows(scores[..., i, :i + 1].reshape(-1, i + 1), kind, h).any()
+               for i in range(scores.shape[-1]))
 
 
 def fd_input_grad(f, x, h=1e-6):
@@ -344,7 +344,7 @@ class TestBackward:
         while True:
             q, k, v = rng.normal(0, 1.2, size=(3, 2, 3, 2))
             _, cache = attention_forward(AttentionInput(q, k, v, kind=kind, rope=rope))
-            if not any(near_tie(s, kind) for s in cache.scores):
+            if not near_tie(cache.scores, kind):
                 break
         for b in range(2):
             _, grads = slice_loss_and_grads(q, k, v, kind, b, rope=rope)

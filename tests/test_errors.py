@@ -8,6 +8,7 @@ import pytest
 from sasoftmax import (
     AttentionInput,
     ConfigError,
+    DEFAULT_EPS,
     EmptyRow,
     SaSoftmaxError,
     ShapeMismatch,
@@ -17,7 +18,6 @@ from sasoftmax import (
     apply_variant,
     attention_forward,
     causal_mask,
-    fd_jacobian,
     gradcheck,
     saturation_sweep,
     variant_jacobian,
@@ -25,6 +25,7 @@ from sasoftmax import (
     variant_weight_vjp,
     variant_weights,
 )
+from sasoftmax.jacobians import FD_STEP, _fd_full_rows
 
 NAN, INF = float("nan"), float("inf")
 ROW = [1.0, 2.0]
@@ -50,22 +51,25 @@ BAD_SETTINGS = {
     "sweep_t_1": lambda: SweepSpec(gaps=(1.0,), t=1),
     "sweep_profile": lambda: SweepSpec(gaps=(1.0,), profile="sideways"),
     "sweep_no_kinds": lambda: saturation_sweep(SweepSpec(gaps=(1.0,), kinds=())),
+    "sweep_kind_str": lambda: saturation_sweep(
+        SweepSpec(gaps=(2.0,), kinds=(VariantKind.V1, "v2"))),
     "sweep_eps_0": lambda: saturation_sweep(SPEC, eps=0.0),
     "sweep_eps_nan": lambda: saturation_sweep(SPEC, eps=NAN),
     "sweep_eps_inf": lambda: saturation_sweep(SPEC, eps=INF),
     "variant_eps_nan": lambda: apply_variant(ROW, VariantKind.V3, eps=NAN),
-    "fd_h_nan": lambda: fd_jacobian(ROW, VariantKind.V3, h=NAN),
-    "fd_eps_inf": lambda: fd_jacobian(ROW, VariantKind.V3, eps=INF),
+    "fd_h_nan": lambda: _fd_full_rows(np.array([ROW]), V3, DEFAULT_EPS, NAN),
+    "fd_eps_inf": lambda: _fd_full_rows(np.array([ROW]), V3, INF, FD_STEP),
     "jacobian_eps_0": lambda: variant_jacobian(ROW, V3, eps=0.0),
     "weights_eps_0": lambda: variant_weights(TIED, LIVE, V3, eps=0.0),
     "vjp_eps_0": lambda: variant_weight_vjp(TIED, LIVE, TIED, V3, eps=0.0),
     "attention_eps_0": lambda: attention_forward(
         AttentionInput(TIED.T, TIED.T, TIED.T, kind=V3, eps=0.0)),
     "gradcheck_h_0": lambda: gradcheck(samples=1, h=0.0),
-    "gradcheck_eps_nan": lambda: gradcheck(samples=1, eps=NAN),
     "gradcheck_tol_nan": lambda: gradcheck(samples=1, tol_rel=NAN),
     "gradcheck_tol_inf": lambda: gradcheck(samples=1, tol_rel=INF),
     "gradcheck_kinds": lambda: gradcheck(samples=1, kinds=()),
+    "gradcheck_kind_str": lambda: gradcheck(
+        samples=2, t_range=(1, 1), kinds=(VariantKind.V4, "v3", "nonsense")),
     "gradcheck_seed_neg": lambda: gradcheck(samples=1, t_range=(1, 2), seed=-1),
 }
 

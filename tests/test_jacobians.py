@@ -13,7 +13,6 @@ from sasoftmax import (
     VariantKind,
     apply_variant,
     causal_mask,
-    fd_jacobian,
     gradcheck,
     reports_to_json,
     variant_jacobian,
@@ -115,15 +114,21 @@ class TestVariantJacobian:
             assert col_v2 > col_base
 
 
+def fd_row(z, kind, eps=DEFAULT_EPS, h=FD_STEP):
+    """The central-difference Jacobian of one logit row, from the batched
+    stencil on a one-row batch that keeps the row's memory layout."""
+    return _fd_full_rows(np.asarray(z, dtype=np.float64)[np.newaxis], kind, eps, h)[0]
+
+
 class TestFiniteDifferenceOracle:
     def test_uniform_pair_baseline(self):
-        block = fd_jacobian([0.0, 0.0], VariantKind.BASELINE, h=1e-5)
-        np.testing.assert_allclose(block.entries, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-9)
+        block = fd_row([0.0, 0.0], VariantKind.BASELINE, h=1e-5)
+        np.testing.assert_allclose(block, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-9)
 
     def test_v4_agrees_with_analytic(self):
         z = [1.0, 2.0]
         a = variant_jacobian(z, VariantKind.V4).entries
-        f = fd_jacobian(z, VariantKind.V4, h=1e-5).entries
+        f = fd_row(z, VariantKind.V4, h=1e-5)
         denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-3)
         assert (np.abs(a - f) / denom).max() < 1e-6
 
@@ -158,9 +163,9 @@ class TestFiniteDifferenceOracle:
     def test_rejects_nonpositive_step_and_eps(self):
         z = [1.0, 2.0]
         with pytest.raises(ValueError):
-            fd_jacobian(z, VariantKind.V3, h=0.0)
+            fd_row(z, VariantKind.V3, h=0.0)
         with pytest.raises(ValueError):
-            fd_jacobian(z, VariantKind.V3, eps=0.0)
+            fd_row(z, VariantKind.V3, eps=0.0)
 
 
 def loop_fd_full_rows(z, kind, eps, h):
@@ -226,8 +231,9 @@ class TestStencil:
                 for got in rest:
                     assert got.tobytes() == want.tobytes(), t
             rows = (z[0].copy(), np.asfortranarray(z)[0], spaced[0, ::2])
-            for oracle in (fd_jacobian, variant_jacobian):
-                want, *rest = (oracle(row, kind).entries for row in rows)
+            for oracle in (lambda row: fd_row(row, kind),
+                           lambda row: variant_jacobian(row, kind).entries):
+                want, *rest = (oracle(row) for row in rows)
                 for got in rest:
                     assert got.tobytes() == want.tobytes(), t
 
@@ -311,9 +317,9 @@ class TestGradcheck:
     # Central differences at the default step are accurate to about the
     # absolute floor, so rows fail only once the floor is lowered as well.
     @pytest.mark.parametrize("tol_rel, abs_floor", [(1e-6, ABS_FLOOR), (1e-12, 1e-14)])
-    def test_matches_per_row_loop(self, tol_rel, abs_floor):
-        got = gradcheck(samples=100, t_range=(1, 8), tol_rel=tol_rel, seed=5,
-                        abs_floor=abs_floor)
+    def test_matches_per_row_loop(self, tol_rel, abs_floor, monkeypatch):
+        monkeypatch.setattr(jacobians, "ABS_FLOOR", abs_floor)
+        got = gradcheck(samples=100, t_range=(1, 8), tol_rel=tol_rel, seed=5)
         want = loop_gradcheck(100, (1, 8), tol_rel, seed=5, abs_floor=abs_floor)
         # line lists and per-report equality keep a failure's diff short
         assert reports_to_json(got).splitlines() == reports_to_json(want).splitlines()
