@@ -1,16 +1,19 @@
-"""Time evaluate_ppl on the bundled corpus at several eval chunk sizes.
+"""Time evaluate_ppl on the bundled corpus at several eval chunk sizes and
+worker counts.
 
-    python3 scripts/eval_chunks.py [--windows 2,3,4,5,6,8,16,32] [--calls 5] [--rounds 2]
+    python3 scripts/eval_chunks.py [--windows 2,3,4,5,6,8,16,32] [--workers 1,2]
+                                   [--calls 5] [--rounds 2]
 
-Each (round, windows) pair runs in a fresh process with one BLAS thread, as
-perfbench's eval_corpus workload does: a v4 model at the default config
-(init seed 11), one warm-up call, then --calls timed calls. That process
-sets microlm._EVAL_CHUNK_POSITIONS to windows * seq_len in its own memory;
-the package has no setting for it. Rounds alternate the order of the
-windows. Prints one JSON object: the machine block, and per windows value
-the median ms and median minor page faults (ru_minflt) per call over all its
-processes, with each process's own figures. Exits 1 if the perplexity's bits
-differ between chunk sizes.
+Each (round, workers, windows) triple runs in a fresh process with one BLAS
+thread, as perfbench's eval_corpus workload does: a v4 model at the default
+config (init seed 11), one warm-up call, then --calls timed calls. That
+process sets microlm._EVAL_CHUNK_POSITIONS to windows * seq_len and
+replaces microlm._eval_workers with the worker count, in its own memory;
+the package has no setting for either. Rounds alternate the order of the
+(workers, windows) pairs. Prints one JSON object: the machine block, and per
+(workers, windows) pair the median ms and median minor page faults
+(ru_minflt) per call over all its processes, with each process's own
+figures. Exits 1 if the perplexity's bits differ between any two pairs.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "
 SEED = 11
 
 
-def measure(windows: int, calls: int) -> dict:
+def measure(windows: int, workers: int, calls: int) -> dict:
     """ms and ru_minflt of each timed evaluate_ppl call in this process."""
     import numpy as np
 
@@ -45,6 +48,7 @@ def measure(windows: int, calls: int) -> dict:
     params = microlm.init_params(cfg, vocab.size, np.random.default_rng(SEED))
     text = corpus.read_bytes()
     microlm._EVAL_CHUNK_POSITIONS = windows * cfg.seq_len
+    microlm._eval_workers = lambda: workers
     microlm.evaluate_ppl(params, cfg, vocab, text)  # warm-up
     ms, faults = [], []
     for _ in range(calls):
@@ -63,33 +67,36 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--windows", default="2,3,4,5,6,8,16,32")
+    parser.add_argument("--workers", default="1,2")
     parser.add_argument("--calls", type=int, default=5)
     parser.add_argument("--rounds", type=int, default=2)
-    parser.add_argument("--child", type=int, help=argparse.SUPPRESS)
+    parser.add_argument("--child", type=int, nargs=2, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child is not None:
-        print(json.dumps(measure(args.child, args.calls)))
+        print(json.dumps(measure(*args.child, args.calls)))
         return 0
 
-    sizes = [int(w) for w in args.windows.split(",")]
-    runs: dict[int, list[dict]] = {w: [] for w in sizes}
+    pairs = [(k, int(w)) for k in map(int, args.workers.split(","))
+             for w in args.windows.split(",")]
+    runs: dict[tuple[int, int], list[dict]] = {pair: [] for pair in pairs}
     for r in range(args.rounds):
-        for w in sizes if r % 2 == 0 else sizes[::-1]:
-            out = subprocess.run([sys.executable, __file__, "--child", str(w),
+        for k, w in pairs if r % 2 == 0 else pairs[::-1]:
+            out = subprocess.run([sys.executable, __file__, "--child", str(w), str(k),
                                   "--calls", str(args.calls)],
                                  env={**os.environ, **ENV}, check=True,
                                  capture_output=True, text=True).stdout
-            runs[w].append(json.loads(out))
-            print(f"windows {w}: ms {runs[w][-1]['ms']}, faults {runs[w][-1]['faults']}",
+            run = json.loads(out)
+            runs[k, w].append(run)
+            print(f"workers {k} windows {w}: ms {run['ms']}, faults {run['faults']}",
                   file=sys.stderr)
 
-    rows = [{"windows": w,
-             "ms_per_call": round(statistics.median(m for run in runs[w] for m in run["ms"]), 1),
-             "faults_per_call": statistics.median(f for run in runs[w] for f in run["faults"]),
-             "processes": [{"ms": run["ms"], "faults": run["faults"]} for run in runs[w]]}
-            for w in sizes]
-    bits = {run["ppl"] for w in sizes for run in runs[w]}
-    print(json.dumps({"machine": runs[sizes[0]][0]["machine"],
+    rows = [{"workers": k, "windows": w,
+             "ms_per_call": round(statistics.median(m for run in runs[k, w] for m in run["ms"]), 1),
+             "faults_per_call": statistics.median(f for run in runs[k, w] for f in run["faults"]),
+             "processes": [{"ms": run["ms"], "faults": run["faults"]} for run in runs[k, w]]}
+            for k, w in pairs]
+    bits = {run["ppl"] for pair in pairs for run in runs[pair]}
+    print(json.dumps({"machine": runs[pairs[0]][0]["machine"],
                       "ppl_bits_equal": len(bits) == 1, "rows": rows}, indent=1))
     return 0 if len(bits) == 1 else 1
 

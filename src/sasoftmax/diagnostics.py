@@ -43,6 +43,7 @@ class SweepSpec:
             raise ConfigError(f"sweep rows need t >= 2, got {self.t}")
         if self.profile not in PROFILES:
             raise ConfigError(f"profile must be one of {PROFILES}, got {self.profile!r}")
+        _ordered_kinds(self.kinds)
 
 
 class SweepRecord(NamedTuple):

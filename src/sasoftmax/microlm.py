@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,14 +39,20 @@ from .variants import DEFAULT_EPS, VariantKind
 LN_EPS = 1e-5
 CHECKPOINT_MAGIC = b"SAXLM001"
 # evaluate_ppl runs max(1, _EVAL_CHUNK_POSITIONS // seq_len) windows per
-# forward: 4 windows at the default seq_len of 64. A chunk's temporaries then
+# forward: 5 windows at the default seq_len of 64. A chunk's temporaries then
 # stay small enough for glibc to reuse the same heap from one chunk to the
-# next. From 6 windows up they go back to the kernel when freed and the next
-# chunk page-faults them in again: one eval of the bundled corpus at the
-# default config took ~600 minor faults in chunks of 3-5 windows, ~95k in 6
-# and ~215k in 32, and ran slower for it (BENCH_eval.json). At 2 windows the
-# per-chunk Python overhead dominates.
-_EVAL_CHUNK_POSITIONS = 256
+# next. From 6 windows up they often go back to the kernel when freed and the
+# next chunk page-faults them in again: one eval of the bundled corpus at the
+# default config took under 10 minor faults per call in chunks of 2-5
+# windows, ~50k-100k in 6-8 with two threads and ~234k in 32
+# (BENCH_eval.json). Smaller chunks run slower: at 2 windows the per-chunk
+# Python overhead dominates, and with two threads 4 windows took ~1000 ms per
+# call against ~830 ms at 5 (the same at one thread). The chunks run on one
+# thread per CPU the process may use (_eval_workers), so about that many
+# chunks' temporaries are alive at once; the peak still does not grow with
+# the text, and each chunk's losses have the same bits whichever thread
+# computes them.
+_EVAL_CHUNK_POSITIONS = 320
 
 
 @dataclass(frozen=True)
@@ -476,8 +484,12 @@ def evaluate_ppl(params: dict, cfg: TrainConfig, vocab: Vocabulary,
     Windows advance by seq_len so every position is predicted at most once;
     a trailing fragment shorter than one window is dropped. The windows run
     through the forward in chunks of about _EVAL_CHUNK_POSITIONS positions,
-    so peak memory does not grow with the text; each window's losses are the
-    bits one batch of all windows gives. A perplexity that is not finite
+    one thread per CPU the process may use running chunks side by side. Peak
+    memory is about that many chunks' temporaries and does not grow with the
+    text; each window's losses are the bits one batch of all windows gives,
+    whatever the thread count. A chunk's error is raised as is, the first
+    failing chunk in text order winning; chunks not yet started are then
+    dropped, and no thread outlives the call. A perplexity that is not finite
     raises NonFiniteInput.
     """
     data = text.encode("utf-8") if isinstance(text, str) else bytes(text)
@@ -488,15 +500,32 @@ def evaluate_ppl(params: dict, cfg: TrainConfig, vocab: Vocabulary,
     n_windows = (len(ids) - 1) // t
     chunk = max(1, _EVAL_CHUNK_POSITIONS // t)
     nll = np.empty((n_windows, t))
-    for lo in range(0, n_windows, chunk):
+
+    def run_chunk(lo: int) -> None:
         hi = min(lo + chunk, n_windows)
         idx = (np.arange(lo, hi) * t)[:, np.newaxis] + np.arange(t)[np.newaxis, :]
         nll[lo:hi] = _forward(params, ids[idx], ids[idx + 1], cfg, keep=False)[0]
+
+    starts = range(0, n_windows, chunk)
+    pool = ThreadPoolExecutor(max_workers=min(_eval_workers(), len(starts)))
+    try:
+        for future in [pool.submit(run_chunk, lo) for lo in starts]:
+            future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
     loss = float(nll.mean())
     ppl = float(np.exp(loss))
     if not math.isfinite(ppl):
         raise NonFiniteInput(f"perplexity is not finite (mean loss {loss})")
     return ppl
+
+
+def _eval_workers() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def attention_maps(params: dict, cfg: TrainConfig, vocab: Vocabulary,

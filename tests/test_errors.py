@@ -50,9 +50,9 @@ BAD_SETTINGS = {
     "sweep_gap_inf": lambda: SweepSpec(gaps=(-INF,)),
     "sweep_t_1": lambda: SweepSpec(gaps=(1.0,), t=1),
     "sweep_profile": lambda: SweepSpec(gaps=(1.0,), profile="sideways"),
-    "sweep_no_kinds": lambda: saturation_sweep(SweepSpec(gaps=(1.0,), kinds=())),
-    "sweep_kind_str": lambda: saturation_sweep(
-        SweepSpec(gaps=(2.0,), kinds=(VariantKind.V1, "v2"))),
+    "sweep_no_kinds": lambda: SweepSpec(gaps=(1.0,), kinds=()),
+    "sweep_kind_str": lambda: SweepSpec(gaps=(2.0,), kinds=("v2",)),
+    "sweep_kind_str_mixed": lambda: SweepSpec(gaps=(2.0,), kinds=(VariantKind.V1, "v2")),
     "sweep_eps_0": lambda: saturation_sweep(SPEC, eps=0.0),
     "sweep_eps_nan": lambda: saturation_sweep(SPEC, eps=NAN),
     "sweep_eps_inf": lambda: saturation_sweep(SPEC, eps=INF),

@@ -4,6 +4,8 @@ training behavior, perplexity, and checkpoint round-trips."""
 import collections
 import dataclasses
 import hashlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -453,31 +455,39 @@ class TestEvaluate:
         ppl = evaluate_ppl(params, cfg, vocab, vocab.decode(ids))
         assert ppl == np.exp(loss)
 
-    def test_keeps_no_backward_cache(self, corpus_path):
-        # eval's peak holds one sublayer's temporaries; forward_loss keeps
-        # every layer's intermediates and the probabilities (ratio ~0.3)
+    def test_keeps_no_backward_cache(self, corpus_path, monkeypatch):
+        # eval's peak holds one sublayer's temporaries per worker; forward_loss
+        # keeps every layer's intermediates and the probabilities (ratio ~0.3
+        # at one worker)
         tokens, vocab = load_corpus(corpus_path)
         cfg = tiny_config(corpus_path, layers=2, d_model=16, seq_len=32)
         params = init_params(cfg, vocab.size, np.random.default_rng(2))
         ids = tokens[: 32 * 64 + 1]
         idx = (np.arange(64) * 32)[:, None] + np.arange(32)[None, :]
         text = vocab.decode(ids)
+        eval_peaks = {}
         tracemalloc.start()
         try:
             _, cache = forward_loss(params, ids[idx], ids[idx + 1], cfg)
             train_peak = tracemalloc.get_traced_memory()[1]
             del cache
-            tracemalloc.reset_peak()
-            evaluate_ppl(params, cfg, vocab, text)
-            eval_peak = tracemalloc.get_traced_memory()[1]
+            for workers in (1, 2):
+                monkeypatch.setattr(microlm, "_eval_workers", lambda: workers)
+                tracemalloc.reset_peak()
+                evaluate_ppl(params, cfg, vocab, text)
+                eval_peaks[workers] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert eval_peak <= 0.5 * train_peak
+        assert eval_peaks[1] <= 0.5 * train_peak
+        assert eval_peaks[2] <= 2 * eval_peaks[1]
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_chunks_equal_one_batch(self, corpus_path, kind):
+    def test_chunks_equal_one_batch(self, corpus_path, kind, monkeypatch):
         # two full chunks and a partial one; the bits match only if every
-        # matmul row comes out the same whatever the row count of its call
+        # matmul row comes out the same whatever the row count of its call,
+        # and every chunk lands in its own rows whichever thread runs it (at
+        # 4 workers each chunk gets a thread; a short switch interval
+        # interleaves the threads finely)
         tokens, vocab = load_corpus(corpus_path)
         cfg = tiny_config(corpus_path, kind=kind, layers=2, d_model=8, seq_len=16,
                           init_std=0.5)
@@ -487,25 +497,56 @@ class TestEvaluate:
         ids = tokens[: n * 16 + 1]
         idx = (np.arange(n) * 16)[:, None] + np.arange(16)[None, :]
         loss, _ = forward_loss(params, ids[idx], ids[idx + 1], cfg)
-        assert evaluate_ppl(params, cfg, vocab, vocab.decode(ids)) == np.exp(loss)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 4):
+                monkeypatch.setattr(microlm, "_eval_workers", lambda: workers)
+                ppl = evaluate_ppl(params, cfg, vocab, vocab.decode(ids))
+                assert ppl == np.exp(loss), workers
+        finally:
+            sys.setswitchinterval(interval)
 
-    def test_peak_memory_flat_in_text_length(self, corpus_path):
+    def test_chunk_error_raised_and_no_thread_left(self, corpus_path, monkeypatch):
+        # the NaN sits in the embedding of a byte first read in the fourth
+        # chunk or later, so the chunks before the failing one succeed
+        tokens, vocab = load_corpus(corpus_path)
+        cfg = tiny_config(corpus_path, layers=1, d_model=8, seq_len=16)
+        params = init_params(cfg, vocab.size, np.random.default_rng(4))
+        chunk = _EVAL_CHUNK_POSITIONS // 16
+        ids = tokens[: 8 * chunk * 16 + 1]
+        late = next(i for i in np.unique(ids) if np.argmax(ids == i) >= 3 * chunk * 16)
+        params["embed"][late, 0] = np.nan
+        monkeypatch.setattr(microlm, "_eval_workers", lambda: 2)
+        before = threading.active_count()
+        with pytest.raises(NonFiniteInput, match="contains NaN"):
+            evaluate_ppl(params, cfg, vocab, vocab.decode(ids))
+        assert threading.active_count() == before
+
+    def test_peak_memory_flat_in_text_length(self, corpus_path, monkeypatch):
+        # Two workers keep two chunks alive, whose temporaries peak together
+        # or not as the threads happen to interleave: a two-chunk text's
+        # measured peak lies anywhere from one to two one-chunk peaks. So the
+        # longer text at two workers is held to two one-chunk peaks, the most
+        # a two-chunk text can take.
         tokens, vocab = load_corpus(corpus_path)
         cfg = tiny_config(corpus_path, layers=2, d_model=16, seq_len=32)
         params = init_params(cfg, vocab.size, np.random.default_rng(2))
         chunk = _EVAL_CHUNK_POSITIONS // 32
-        peaks = []
+        peaks = {}
         tracemalloc.start()
         try:
-            for n in (chunk, 4 * chunk):
-                text = vocab.decode(tokens[: n * 32 + 1])
+            for workers, chunks in ((1, 1), (1, 4), (2, 8)):
+                monkeypatch.setattr(microlm, "_eval_workers", lambda: workers)
+                text = vocab.decode(tokens[: chunks * chunk * 32 + 1])
                 tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
                 evaluate_ppl(params, cfg, vocab, text)
-                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                peaks[workers, chunks] = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peaks[1] <= 1.2 * peaks[0]
+        assert peaks[1, 4] <= 1.2 * peaks[1, 1]
+        assert peaks[2, 8] <= 1.2 * (2 * peaks[1, 1])
 
     def test_unknown_symbol_rejected(self, tmp_path):
         path = tmp_path / "c.txt"
