@@ -19,8 +19,9 @@ class NonFiniteInput(SaSoftmaxError):
 
 
 class ShapeMismatch(SaSoftmaxError):
-    """Array arguments disagree on sequence length or feature dimension, or a
-    mask or upstream gradient does not broadcast to the scores' shape."""
+    """Array arguments disagree on sequence length or feature dimension, a
+    mask or upstream gradient does not broadcast to the scores' shape, or a
+    token batch is empty or holds ids that are not integers."""
 
 
 class OddHeadDim(SaSoftmaxError):
@@ -45,7 +46,8 @@ class CorpusTooSmall(SaSoftmaxError):
 
 
 class UnknownSymbol(SaSoftmaxError):
-    """Text contains a byte that is not part of the trained vocabulary."""
+    """Text contains a byte that is not part of the trained vocabulary, or a
+    token batch an id outside it."""
 
 
 class TextTooShort(SaSoftmaxError):

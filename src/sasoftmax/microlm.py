@@ -4,17 +4,24 @@ Pre-norm decoder blocks (single attention head, 4x GELU MLP, tied input and
 output embeddings), trained with Adam. No autograd anywhere: every gradient
 is computed by hand, with the attention weights differentiated through the
 selected scoring variant. Everything runs in float64 and is deterministic
-given (seed, config, corpus).
+given (seed, config, corpus), whatever the CPU count: the train step and eval
+split their work into fixed pieces, run them side by side on the CPUs the
+process may use (the train step only on those its BLAS leaves free), and
+combine the results in a fixed order.
 """
 
 from __future__ import annotations
 
+import ctypes
+import dataclasses
+import functools
+import itertools
 import json
 import math
 import os
 import struct
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,12 +54,19 @@ CHECKPOINT_MAGIC = b"SAXLM001"
 # windows, ~50k-100k in 6-8 with two threads and ~234k in 32
 # (BENCH_eval.json). Smaller chunks run slower: at 2 windows the per-chunk
 # Python overhead dominates, and with two threads 4 windows took ~1000 ms per
-# call against ~830 ms at 5 (the same at one thread). The chunks run on one
-# thread per CPU the process may use (_eval_workers), so about that many
-# chunks' temporaries are alive at once; the peak still does not grow with
-# the text, and each chunk's losses have the same bits whichever thread
-# computes them.
+# call against ~830 ms at 5 (the same at one thread). The chunks run through
+# _run_all on _workers() threads, so about that many chunks' temporaries are
+# alive at once; the peak still does not grow with the text, and each
+# chunk's losses have the same bits whichever thread computes them.
 _EVAL_CHUNK_POSITIONS = 320
+# forward_loss splits the batch into micro-batches of this many windows (the
+# last one may be shorter), and backward sums their gradients in micro-batch
+# order, so the gradients have the same bits whatever the worker count. It
+# does not depend on the CPU count. 8 splits the default batch of 16 in two:
+# with one BLAS thread at two workers a default step took 17-20 ms per kind,
+# against 20-24 ms in micro-batches of 4 and 24-28 ms in one of 16
+# (BENCH_train.json).
+_TRAIN_SHARD_WINDOWS = 8
 
 
 @dataclass(frozen=True)
@@ -234,22 +248,73 @@ def _gelu(x, keep):
 
 def forward_loss(params: dict, inputs: np.ndarray, targets: np.ndarray,
                  cfg: TrainConfig) -> tuple[float, dict]:
-    """Mean next-token cross-entropy (nats) plus a cache for backward."""
-    nll, cache = _forward(params, inputs, targets, cfg, keep=True)
+    """Mean next-token cross-entropy (nats) plus a cache for backward.
+
+    The batch runs through the forward in micro-batches of
+    _TRAIN_SHARD_WINDOWS windows, side by side (_run_all). The loss is the
+    mean of the concatenated per-position losses, so it has the bits one
+    batch gives. The cache keeps one sub-cache per micro-batch ("shards"),
+    the shared causal mask ("mask") and, per layer, the full-batch attention
+    logits ("layers"[i]["z"]), whose rows the sub-caches' scores are views of.
+
+    Ids must be integers in [0, vocab) (the rows of params["embed"]):
+    UnknownSymbol otherwise. Unequal or non-2-D shapes, an empty batch or
+    window, and ids that are not integers raise ShapeMismatch.
+    """
+    inputs, targets = _checked_batch(inputs, targets, params["embed"].shape[0])
+    n = _TRAIN_SHARD_WINDOWS
+    parts = _run_all(lambda lo: _forward(params, inputs[lo:lo + n], targets[lo:lo + n], cfg,
+                                         keep=True),
+                     range(0, len(inputs), n), _train_workers())
+    nll = np.concatenate([part_nll for part_nll, _ in parts])
+    shards = [shard for _, shard in parts]
+    cache = {
+        "cfg": cfg, "params": params, "mask": shards[0]["layers"][0]["attn"].mask,
+        "layers": [{"z": _joined_scores(shards, i)} for i in range(cfg.layers)],
+        "shards": shards,
+    }
     return float(nll.mean()), cache
 
 
-def _forward(params: dict, inputs: np.ndarray, targets: np.ndarray,
-             cfg: TrainConfig, keep: bool) -> tuple[np.ndarray, dict | None]:
-    """The (B, T) next-token cross-entropy of every position, and forward_loss's
-    cache if keep; without keep the cache is None and no layer's
-    intermediates outlive the layer."""
+def _checked_batch(inputs, targets, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """inputs and targets as arrays, after forward_loss's checks."""
     inputs = np.asarray(inputs)
     targets = np.asarray(targets)
     if inputs.shape != targets.shape or inputs.ndim != 2:
         raise ShapeMismatch(f"inputs {inputs.shape} and targets {targets.shape} must be equal 2-D")
-    b, t = inputs.shape
+    if inputs.size == 0:
+        raise ShapeMismatch(f"a batch of shape {inputs.shape} holds no position")
+    for name, ids in (("inputs", inputs), ("targets", targets)):
+        if not np.issubdtype(ids.dtype, np.integer):
+            raise ShapeMismatch(f"{name} must hold integer token ids, got dtype {ids.dtype}")
+        for bad in (ids.min(), ids.max()):
+            if not 0 <= bad < vocab_size:
+                raise UnknownSymbol(f"{name} holds token id {bad}, outside [0, {vocab_size})")
+    return inputs, targets
 
+
+def _joined_scores(shards: list[dict], i: int) -> np.ndarray:
+    """Layer i's attention logits over the whole batch. With more than one
+    shard they are copied into one array, and each shard's cache is given a
+    view of its rows in place of its own, so the logits are held once."""
+    caches = [shard["layers"][i]["attn"] for shard in shards]
+    if len(caches) == 1:
+        return caches[0].scores
+    z = np.concatenate([c.scores for c in caches])
+    lo = 0
+    for shard, c in zip(shards, caches):
+        hi = lo + len(c.scores)
+        shard["layers"][i]["attn"] = dataclasses.replace(c, scores=z[lo:hi])
+        lo = hi
+    return z
+
+
+def _forward(params: dict, inputs: np.ndarray, targets: np.ndarray,
+             cfg: TrainConfig, keep: bool) -> tuple[np.ndarray, dict | None]:
+    """The (B, T) next-token cross-entropy of every position of a checked
+    batch, and with keep the cache _backward reads; without keep the cache
+    is None and no layer's intermediates outlive the layer."""
+    b, t = inputs.shape
     x = params["embed"][inputs]
     layers = []
     for i in range(cfg.layers):
@@ -273,11 +338,8 @@ def _forward(params: dict, inputs: np.ndarray, targets: np.ndarray,
         return nll, None
     logits /= norm
 
-    cache = {
-        "cfg": cfg, "inputs": inputs, "targets": targets, "mask": layers[0]["attn"].mask,
-        "layers": layers, "hf": hf, "lnf": lnf_ctx,
-        "probs": logits, "params": params,
-    }
+    cache = {"inputs": inputs, "targets": targets, "layers": layers, "hf": hf,
+             "lnf": lnf_ctx, "probs": logits}
     return nll, cache
 
 
@@ -296,7 +358,7 @@ def _block(x: np.ndarray, params: dict, pre: str, cfg: TrainConfig,
         kind=cfg.kind, rope=cfg.rope, rope_base=cfg.rope_base, eps=cfg.eps))
     x_mid = att @ params[pre + "wo"]
     x_mid += x
-    ctx = {"a": a, "ln1": ln1_ctx, "attn": attn, "z": attn.scores, "att": att} if keep else None
+    ctx = {"a": a, "ln1": ln1_ctx, "attn": attn, "att": att} if keep else None
     del a, ln1_ctx, att, attn
 
     m_in, ln2_ctx = _layer_norm(x_mid, params[pre + "ln2.g"], params[pre + "ln2.b"])
@@ -318,11 +380,31 @@ def _wgrad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
 
 def backward(cache: dict) -> dict[str, np.ndarray]:
-    """Exact gradients of the mean cross-entropy for every parameter."""
-    if "probs" not in cache:
+    """Exact gradients of the mean cross-entropy for every parameter.
+
+    Each micro-batch's backward runs side by side (_run_all) and gives the
+    gradients of its losses' sum over the whole batch's position count; they
+    are summed in micro-batch order, so their bits do not depend on the
+    worker count. A batch of one micro-batch gets one backward's bits.
+    """
+    if "shards" not in cache:
         raise CacheMismatch("cache was not produced by forward_loss")
     cfg: TrainConfig = cache["cfg"]
     params = cache["params"]
+    shards = cache["shards"]
+    positions = sum(shard["inputs"].size for shard in shards)
+    parts = _run_all(lambda shard: _backward(params, cfg, shard, positions), shards,
+                     _train_workers())
+    grads = parts[0]
+    for part in parts[1:]:
+        for name, g in part.items():
+            grads[name] += g
+    return grads
+
+
+def _backward(params: dict, cfg: TrainConfig, cache: dict,
+              positions: int) -> dict[str, np.ndarray]:
+    """Gradients of the sum of one _forward cache's losses, over positions."""
     inputs = cache["inputs"]
     targets = cache["targets"]
     b, t = inputs.shape
@@ -331,7 +413,7 @@ def backward(cache: dict) -> dict[str, np.ndarray]:
     rows = np.arange(b)[:, np.newaxis]
     cols = np.arange(t)[np.newaxis, :]
     dlogits[rows, cols, targets] -= 1.0
-    dlogits /= b * t
+    dlogits /= positions
 
     grads = {name: None for name in param_names(cfg)}
     dhf = dlogits @ params["embed"]
@@ -484,13 +566,12 @@ def evaluate_ppl(params: dict, cfg: TrainConfig, vocab: Vocabulary,
     Windows advance by seq_len so every position is predicted at most once;
     a trailing fragment shorter than one window is dropped. The windows run
     through the forward in chunks of about _EVAL_CHUNK_POSITIONS positions,
-    one thread per CPU the process may use running chunks side by side. Peak
-    memory is about that many chunks' temporaries and does not grow with the
-    text; each window's losses are the bits one batch of all windows gives,
-    whatever the thread count. A chunk's error is raised as is, the first
-    failing chunk in text order winning; chunks not yet started are then
-    dropped, and no thread outlives the call. A perplexity that is not finite
-    raises NonFiniteInput.
+    run side by side (_run_all). Peak memory is about one chunk's
+    temporaries per thread and does not grow with the text; each window's
+    losses are the bits one batch of all windows gives, whatever the thread
+    count. A chunk's error is raised as _run_all raises it: the first failing
+    chunk in text order wins. A perplexity that is not finite raises
+    NonFiniteInput.
     """
     data = text.encode("utf-8") if isinstance(text, str) else bytes(text)
     ids = vocab.encode(data)
@@ -506,13 +587,7 @@ def evaluate_ppl(params: dict, cfg: TrainConfig, vocab: Vocabulary,
         idx = (np.arange(lo, hi) * t)[:, np.newaxis] + np.arange(t)[np.newaxis, :]
         nll[lo:hi] = _forward(params, ids[idx], ids[idx + 1], cfg, keep=False)[0]
 
-    starts = range(0, n_windows, chunk)
-    pool = ThreadPoolExecutor(max_workers=min(_eval_workers(), len(starts)))
-    try:
-        for future in [pool.submit(run_chunk, lo) for lo in starts]:
-            future.result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+    _run_all(run_chunk, range(0, n_windows, chunk), _workers())
     loss = float(nll.mean())
     ppl = float(np.exp(loss))
     if not math.isfinite(ppl):
@@ -520,12 +595,111 @@ def evaluate_ppl(params: dict, cfg: TrainConfig, vocab: Vocabulary,
     return ppl
 
 
-def _eval_workers() -> int:
-    """How many CPUs this process may run on."""
+def _workers() -> int:
+    """How many CPUs this process may run on: the threads evaluate_ppl
+    runs its chunks on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         return os.cpu_count() or 1
+
+
+def _train_workers() -> int:
+    """How many threads the train step runs its micro-batches on: the CPUs
+    this process may run on, shared out among the most threads a loaded
+    OpenBLAS runs one call on; 1 where no OpenBLAS can be asked.
+
+    A multi-threaded OpenBLAS serialises the train step's calls made at once
+    from several threads, while its own threads spin: the default step took
+    ~33 ms at two workers on a two-CPU host against ~22 ms at one, with
+    OpenBLAS at two threads, and ~19 ms at two workers with OpenBLAS at one.
+    Eval's smaller calls do not lose this way: with OpenBLAS at two threads
+    an eval of the bundled corpus took ~790 ms on two threads against
+    ~980 ms on one (BENCH_train.json), so _workers() leaves the BLAS out.
+    """
+    cpus = _workers()
+    getters = _openblas_thread_getters()
+    blas = max(get() for get in getters) if getters else cpus
+    return max(1, cpus // blas)
+
+
+@functools.lru_cache(maxsize=1)
+def _openblas_thread_getters() -> tuple:
+    """openblas_get_num_threads of every OpenBLAS mapped into this process
+    (numpy's and scipy's each bundle one); none off Linux."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = _openblas_paths(maps)
+    except OSError:
+        return ()
+    getters = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # gone from disk or not loadable by this path
+            continue
+        for prefix, suffix in itertools.product(("openblas", "scipy_openblas"), ("", "64_")):
+            getter = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                getters.append(getter)
+                break
+    return tuple(getters)
+
+
+def _openblas_paths(maps_lines) -> list[str]:
+    """The files mapped into a process whose name holds "openblas", once
+    each, from the lines of its /proc/PID/maps; not those deleted from disk
+    since they were mapped. A path may hold spaces."""
+    paths = set()
+    for line in maps_lines:
+        fields = line.rstrip("\n").split(maxsplit=5)
+        if (len(fields) == 6 and not fields[5].endswith(" (deleted)")
+                and "openblas" in fields[5].rsplit("/", 1)[-1]):
+            paths.add(fields[5])
+    return sorted(paths)
+
+
+def _run_all(fn, items, workers: int) -> list:
+    """[fn(item) for item in items], the items run side by side.
+
+    The calling thread runs items itself, beside workers - 1 started threads
+    (fewer if there are fewer items), each thread taking the next item in
+    order. Once an item raises, items not yet started are dropped; every
+    thread is joined, and then the error of the first failing item in order
+    is raised as it is. No thread outlives the call.
+    """
+    items = list(items)
+    results = [None] * len(items)
+    errors = {}
+    lock = threading.Lock()
+    order = iter(range(len(items)))
+
+    def work() -> None:
+        while True:
+            with lock:
+                i = None if errors else next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:
+                with lock:
+                    errors[i] = exc
+                return
+
+    threads = []
+    try:
+        for _ in range(min(workers, len(items)) - 1):
+            threads.append(threading.Thread(target=work))
+            threads[-1].start()
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def attention_maps(params: dict, cfg: TrainConfig, vocab: Vocabulary,

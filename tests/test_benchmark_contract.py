@@ -1,8 +1,10 @@
 """The benchmark in perfbench/ still runs against the package.
 
-perfbench reaches into internals: the trainer cache's "z" and "mask", the
-AttentionCache fields, dataclasses.replace on JacobianBlock and
-AttentionGrads, and module attributes it patches to inject a fault. Its own
+perfbench reaches into internals: the trainer cache's "mask" (the shared
+causal mask) and per layer "z" (the full batch's attention logits, kept
+beside the per-micro-batch sub-caches), the AttentionCache fields,
+dataclasses.replace on JacobianBlock and AttentionGrads, and module
+attributes it patches to inject a fault. Its own
 self-test takes minutes, so this runs one round of each workload in-process:
 the round must pass its checks, and after inject_fault a fresh round must
 fail them, with no op raising either way.

@@ -41,8 +41,11 @@ from sasoftmax import (
 )
 from sasoftmax.microlm import (
     _EVAL_CHUNK_POSITIONS,
+    _backward,
+    _forward,
     _gelu,
     _layer_norm_backward,
+    _run_all,
     param_names,
     sample_windows,
 )
@@ -148,19 +151,31 @@ class TestForwardLoss:
         b, _ = forward_loss(params, inputs, targets, cfg)
         assert a == b
 
-    def test_cache_keys_read_by_benchmark(self, corpus_path):
+    def test_cache_keys_read_by_benchmark(self, corpus_path, monkeypatch):
+        # batch 3 in micro-batches of 2: "z" is the full batch's logits, and
+        # each micro-batch's scores are a view of its rows, so none is held twice
+        monkeypatch.setattr(microlm, "_TRAIN_SHARD_WINDOWS", 2)
         tokens, vocab = load_corpus(corpus_path)
-        cfg = tiny_config(corpus_path, layers=2)
+        cfg = tiny_config(corpus_path, layers=2, batch=3)
         rng = np.random.default_rng(0)
         params = init_params(cfg, vocab.size, rng)
-        _, cache = forward_loss(params, *sample_windows(tokens, 4, 2, rng), cfg)
-        assert cache["mask"] is cache["layers"][0]["attn"].mask
-        for layer in cache["layers"]:
-            assert layer["z"] is layer["attn"].scores
+        _, cache = forward_loss(params, *sample_windows(tokens, 4, 3, rng), cfg)
+        shards = cache["shards"]
+        assert [len(shard["inputs"]) for shard in shards] == [2, 1]
+        assert cache["mask"] is attention.causal_mask(4)
+        for i, layer in enumerate(cache["layers"]):
+            scores = [shard["layers"][i]["attn"] for shard in shards]
+            assert all(c.mask is cache["mask"] for c in scores)
+            assert layer["z"].shape == (3, 4, 4)
+            assert layer["z"].tobytes() == np.concatenate([c.scores for c in scores]).tobytes()
+            assert all(np.shares_memory(c.scores, layer["z"]) for c in scores)
 
     def test_v4_step_computes_each_factor_once(self, corpus_path, monkeypatch):
         # the backward reads the softmax, scaler and RoPE tables its forward
-        # kept: one of each per layer (recomputing them would make 4 / 4 / 8)
+        # kept: one of each per layer per micro-batch, two micro-batches at the
+        # default batch (recomputing them would make 8 / 8 / 16). One worker,
+        # so no thread races the counter.
+        monkeypatch.setattr(microlm, "_workers", lambda: 1)
         counts = collections.Counter()
         for owner, name in ((variants, "masked_softmax"), (variants, "masked_extrema"),
                             (attention, "rope_tables")):
@@ -179,8 +194,8 @@ class TestForwardLoss:
         params = init_params(cfg, vocab.size, rng)
         inputs, targets = sample_windows(tokens, cfg.seq_len, cfg.batch, rng)
         backward(forward_loss(params, inputs, targets, cfg)[1])
-        assert cfg.layers == 2
-        assert counts == {"masked_softmax": 2, "masked_extrema": 2, "rope_tables": 2}
+        assert cfg.layers == 2 and cfg.batch == 2 * microlm._TRAIN_SHARD_WINDOWS
+        assert counts == {"masked_softmax": 4, "masked_extrema": 4, "rope_tables": 4}
 
     def test_shape_mismatch(self, corpus_path):
         _, vocab = load_corpus(corpus_path)
@@ -189,10 +204,50 @@ class TestForwardLoss:
         with pytest.raises(ShapeMismatch):
             forward_loss(params, np.zeros((2, 4), dtype=int), np.zeros((2, 5), dtype=int), cfg)
 
+    def _params(self, corpus_path):
+        _, vocab = load_corpus(corpus_path)
+        cfg = tiny_config(corpus_path)
+        return init_params(cfg, vocab.size, np.random.default_rng(0)), cfg, vocab.size
+
+    def test_negative_target_rejected(self, corpus_path):
+        # -1 would index the last vocab entry and score against it
+        params, cfg, _ = self._params(corpus_path)
+        targets = np.zeros((2, 4), dtype=int)
+        targets[1, 2] = -1
+        with pytest.raises(UnknownSymbol, match="targets holds token id -1"):
+            forward_loss(params, np.zeros((2, 4), dtype=int), targets, cfg)
+
+    def test_id_past_vocab_rejected(self, corpus_path):
+        params, cfg, vocab_size = self._params(corpus_path)
+        inputs = np.zeros((2, 4), dtype=int)
+        inputs[0, 3] = vocab_size
+        with pytest.raises(UnknownSymbol, match=f"inputs holds token id {vocab_size}"):
+            forward_loss(params, inputs, np.zeros((2, 4), dtype=int), cfg)
+
+    def test_float_ids_rejected(self, corpus_path):
+        params, cfg, _ = self._params(corpus_path)
+        with pytest.raises(ShapeMismatch, match="integer token ids"):
+            forward_loss(params, np.zeros((2, 4)), np.zeros((2, 4), dtype=int), cfg)
+
+    def test_empty_batch_rejected(self, corpus_path):
+        params, cfg, _ = self._params(corpus_path)
+        empty = np.zeros((0, 4), dtype=int)
+        with pytest.raises(ShapeMismatch, match="holds no position"):
+            forward_loss(params, empty, empty, cfg)
+
+    def test_empty_window_rejected(self, corpus_path):
+        params, cfg, _ = self._params(corpus_path)
+        empty = np.zeros((2, 0), dtype=int)
+        with pytest.raises(ShapeMismatch, match="holds no position"):
+            forward_loss(params, empty, empty, cfg)
+
 
 class TestBackward:
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_matches_einsum_reference(self, kind):
+    def test_matches_einsum_reference(self, kind, monkeypatch):
+        # batch 3 in micro-batches of 2 and 1, against the reference on one
+        # full-batch cache
+        monkeypatch.setattr(microlm, "_TRAIN_SHARD_WINDOWS", 2)
         cfg = TrainConfig(corpus_path="", kind=kind, layers=2, d_model=8, seq_len=6,
                           batch=3, seed=0, rope=True)
         vocab_size = 5
@@ -209,8 +264,9 @@ class TestBackward:
         assert np.bincount(inputs.ravel()).max() > 1
         targets = rng.integers(0, vocab_size, (3, 6))
         _, cache = forward_loss(params, inputs, targets, cfg)
+        assert len(cache["shards"]) == 2
         got = backward(cache)
-        want = einsum_backward(cache)
+        want = einsum_backward(_forward(params, inputs, targets, cfg, keep=True)[1], params, cfg)
         assert list(got) == param_names(cfg) and set(want) == set(got)
         for name in got:
             scale = np.abs(want[name]).max()
@@ -219,8 +275,10 @@ class TestBackward:
                                        err_msg=name)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_writes_no_input_or_cache_array(self, corpus_path, kind):
-        # the elementwise kernels work in place only on arrays they made
+    def test_writes_no_input_or_cache_array(self, corpus_path, kind, monkeypatch):
+        # the elementwise kernels work in place only on arrays they made, and
+        # backward's sum over micro-batches (2 and 1 here) only on its own
+        monkeypatch.setattr(microlm, "_TRAIN_SHARD_WINDOWS", 2)
         tokens, vocab = load_corpus(corpus_path)
         cfg = tiny_config(corpus_path, kind=kind, layers=2, batch=3, seq_len=6,
                           init_std=0.5)
@@ -231,7 +289,8 @@ class TestBackward:
         _, cache = forward_loss(params, inputs, targets, cfg)
         assert array_hashes([params, inputs, targets]) == before_forward
         before = array_hashes(cache)
-        # params, inputs, targets, hf, lnf, probs and each layer's entries
+        # params, each layer's z, and per micro-batch its inputs, targets, hf,
+        # lnf, probs and each layer's entries
         assert len(before) > 50
         first = backward(cache)
         second = backward(cache)
@@ -255,12 +314,177 @@ class TestBackward:
                                        rtol=0, atol=1e-12)
 
 
-def einsum_backward(cache):
-    """The trainer's backward as it was written with np.einsum weight
-    gradients and an np.add.at embed scatter: the reference for the 2-D
-    matmul form, which sums the same products in another order."""
-    cfg = cache["cfg"]
-    params = cache["params"]
+class TestMicroBatches:
+    def test_train_bit_identical_at_any_worker_count(self, corpus_path, monkeypatch):
+        # batch 7 in micro-batches of 2: at 4 workers each of the four gets a
+        # thread, and a short switch interval interleaves the threads finely
+        monkeypatch.setattr(microlm, "_TRAIN_SHARD_WINDOWS", 2)
+        cfg = tiny_config(corpus_path, kind=VariantKind.V4, layers=2, batch=7, steps=6,
+                          init_std=0.5)
+        runs = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 4):
+                monkeypatch.setattr(microlm, "_train_workers", lambda: workers)
+                before = threading.active_count()
+                res = train(cfg)
+                assert threading.active_count() == before
+                runs[workers] = metrics_to_csv(res.metrics), array_hashes(res.params)
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[2] == runs[1]
+        assert runs[4] == runs[1]
+
+    def test_micro_batch_error_raised_and_no_thread_left(self, corpus_path, monkeypatch):
+        # the NaN sits in the embedding row of an id that only the second
+        # micro-batch reads, so the first one succeeds
+        monkeypatch.setattr(microlm, "_TRAIN_SHARD_WINDOWS", 2)
+        monkeypatch.setattr(microlm, "_train_workers", lambda: 2)
+        _, vocab = load_corpus(corpus_path)
+        cfg = tiny_config(corpus_path, batch=4)
+        params = init_params(cfg, vocab.size, np.random.default_rng(0))
+        inputs = np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 2, 1], [1, 1, 0, 0]])
+        params["embed"][2, 0] = np.nan
+        before = threading.active_count()
+        with pytest.raises(NonFiniteInput, match="contains NaN"):
+            forward_loss(params, inputs, inputs, cfg)
+        assert threading.active_count() == before
+
+    def test_one_micro_batch_keeps_one_backward(self, corpus_path):
+        # a batch that fits in one micro-batch gets the bits of one backward
+        # over the whole batch: nothing is added to it and it is normalised
+        # by the same position count
+        tokens, vocab = load_corpus(corpus_path)
+        cfg = tiny_config(corpus_path, kind=VariantKind.V3, layers=2,
+                          batch=microlm._TRAIN_SHARD_WINDOWS, init_std=0.5)
+        rng = np.random.default_rng(8)
+        params = init_params(cfg, vocab.size, rng)
+        inputs, targets = sample_windows(tokens, cfg.seq_len, cfg.batch, rng)
+        _, cache = forward_loss(params, inputs, targets, cfg)
+        assert len(cache["shards"]) == 1
+        got = backward(cache)
+        whole = _forward(params, inputs, targets, cfg, keep=True)[1]
+        want = _backward(params, cfg, whole, inputs.size)
+        assert list(got) == list(want)
+        assert all(got[n].tobytes() == want[n].tobytes() for n in want)
+
+    def test_one_cpu_starts_no_thread(self, corpus_path, monkeypatch):
+        tokens, vocab = load_corpus(corpus_path)
+        cfg = tiny_config(corpus_path, batch=5)
+        params = init_params(cfg, vocab.size, np.random.default_rng(1))
+        inputs, targets = sample_windows(tokens, cfg.seq_len, cfg.batch, np.random.default_rng(2))
+        monkeypatch.setattr(microlm, "_TRAIN_SHARD_WINDOWS", 2)
+        monkeypatch.setattr(microlm, "_workers", lambda: 1)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        backward(forward_loss(params, inputs, targets, cfg)[1])
+        evaluate_ppl(params, cfg, vocab, vocab.decode(tokens[: 40 * cfg.seq_len + 1]))
+
+
+class TestWorkers:
+    def test_train_shares_cpus_out_among_blas_threads(self, monkeypatch):
+        monkeypatch.setattr(microlm.os, "sched_getaffinity", lambda pid: set(range(4)),
+                            raising=False)
+        for threads, workers in ((1, 4), (2, 2), (3, 1), (4, 1), (8, 1)):
+            monkeypatch.setattr(microlm, "_openblas_thread_getters",
+                                lambda: (lambda: 1, lambda: threads))
+            assert microlm._train_workers() == workers, threads
+            # eval runs on every CPU whatever the BLAS runs
+            assert microlm._workers() == 4
+        # with no OpenBLAS to ask, the BLAS is taken to use every CPU
+        monkeypatch.setattr(microlm, "_openblas_thread_getters", lambda: ())
+        assert microlm._train_workers() == 1
+        assert microlm._workers() == 4
+
+    def test_only_the_train_step_gives_way_to_blas_threads(self, corpus_path, monkeypatch):
+        # OpenBLAS at two threads on two CPUs: the step's two micro-batches
+        # run on the calling thread alone, eval's chunks on two threads
+        tokens, vocab = load_corpus(corpus_path)
+        cfg = tiny_config(corpus_path, batch=4)
+        params = init_params(cfg, vocab.size, np.random.default_rng(1))
+        inputs, targets = sample_windows(tokens, cfg.seq_len, cfg.batch, np.random.default_rng(2))
+        monkeypatch.setattr(microlm, "_TRAIN_SHARD_WINDOWS", 2)
+        monkeypatch.setattr(microlm, "_workers", lambda: 2)
+        monkeypatch.setattr(microlm, "_openblas_thread_getters", lambda: (lambda: 2,))
+        started = []
+
+        class CountedThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", CountedThread)
+        backward(forward_loss(params, inputs, targets, cfg)[1])
+        assert started == []
+        windows = 2 * _EVAL_CHUNK_POSITIONS // cfg.seq_len
+        evaluate_ppl(params, cfg, vocab, vocab.decode(tokens[: windows * cfg.seq_len + 1]))
+        assert len(started) == 1
+
+    def test_asks_the_loaded_openblas(self):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        if "openblas" not in blas or not sys.platform.startswith("linux"):
+            pytest.skip(f"numpy's BLAS is {blas} on {sys.platform}")
+        getters = microlm._openblas_thread_getters()
+        assert getters and all(get() >= 1 for get in getters)
+
+    def test_maps_paths_with_spaces_and_deleted_files(self):
+        lines = [
+            "7f00-7f10 r-xp 00000000 08:01 42   /home/a b/venv/libscipy_openblas64_.so\n",
+            "7f10-7f20 r--p 00010000 08:01 42   /home/a b/venv/libscipy_openblas64_.so\n",
+            "7f20-7f30 r-xp 00000000 08:01 43   /usr/lib/libopenblas.so.0 (deleted)\n",
+            "7f30-7f40 r-xp 00000000 08:01 44   /opt/openblas/lib/libm.so.6\n",
+            "7f40-7f50 rw-p 00000000 00:00 0 \n",
+            "7f50-7f60 rw-p 00000000 00:00 0    [heap]\n",
+        ]
+        assert microlm._openblas_paths(lines) == ["/home/a b/venv/libscipy_openblas64_.so"]
+
+    def test_unloadable_library_is_skipped(self, monkeypatch):
+        monkeypatch.setattr(microlm, "_openblas_paths",
+                            lambda lines: ["/no such dir/libopenblas.so"])
+        monkeypatch.setattr(microlm.os, "sched_getaffinity", lambda pid: set(range(4)),
+                            raising=False)
+        microlm._openblas_thread_getters.cache_clear()
+        try:
+            if sys.platform.startswith("linux"):
+                assert microlm._openblas_thread_getters() == ()
+            assert microlm._train_workers() == 1
+        finally:
+            microlm._openblas_thread_getters.cache_clear()
+
+
+class TestRunAll:
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_results_in_order(self, workers):
+        assert _run_all(lambda i: i * i, range(5), workers) == [0, 1, 4, 9, 16]
+        assert _run_all(lambda i: i, [], workers) == []
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_first_failure_in_order_wins(self, workers):
+        # items are taken in order, so 2 starts before 4 fails; once either
+        # fails, 5 is never started
+        ran = []
+
+        def fn(i):
+            ran.append(i)
+            if i in (2, 4):
+                raise ValueError(str(i))
+            return i
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="^2$"):
+            _run_all(fn, range(6), workers)
+        assert threading.active_count() == before
+        assert {0, 1, 2} <= set(ran) and 5 not in ran
+
+
+def einsum_backward(cache, params, cfg):
+    """The trainer's backward of one _forward cache as it was written with
+    np.einsum weight gradients and an np.add.at embed scatter: the reference
+    for the 2-D matmul form, which sums the same products in another order."""
     inputs = cache["inputs"]
     b, t = inputs.shape
     dlogits = cache["probs"].copy()
@@ -472,7 +696,7 @@ class TestEvaluate:
             train_peak = tracemalloc.get_traced_memory()[1]
             del cache
             for workers in (1, 2):
-                monkeypatch.setattr(microlm, "_eval_workers", lambda: workers)
+                monkeypatch.setattr(microlm, "_workers", lambda: workers)
                 tracemalloc.reset_peak()
                 evaluate_ppl(params, cfg, vocab, text)
                 eval_peaks[workers] = tracemalloc.get_traced_memory()[1]
@@ -501,7 +725,7 @@ class TestEvaluate:
         sys.setswitchinterval(1e-6)
         try:
             for workers in (1, 2, 4):
-                monkeypatch.setattr(microlm, "_eval_workers", lambda: workers)
+                monkeypatch.setattr(microlm, "_workers", lambda: workers)
                 ppl = evaluate_ppl(params, cfg, vocab, vocab.decode(ids))
                 assert ppl == np.exp(loss), workers
         finally:
@@ -517,7 +741,7 @@ class TestEvaluate:
         ids = tokens[: 8 * chunk * 16 + 1]
         late = next(i for i in np.unique(ids) if np.argmax(ids == i) >= 3 * chunk * 16)
         params["embed"][late, 0] = np.nan
-        monkeypatch.setattr(microlm, "_eval_workers", lambda: 2)
+        monkeypatch.setattr(microlm, "_workers", lambda: 2)
         before = threading.active_count()
         with pytest.raises(NonFiniteInput, match="contains NaN"):
             evaluate_ppl(params, cfg, vocab, vocab.decode(ids))
@@ -537,7 +761,7 @@ class TestEvaluate:
         tracemalloc.start()
         try:
             for workers, chunks in ((1, 1), (1, 4), (2, 8)):
-                monkeypatch.setattr(microlm, "_eval_workers", lambda: workers)
+                monkeypatch.setattr(microlm, "_workers", lambda: workers)
                 text = vocab.decode(tokens[: chunks * chunk * 32 + 1])
                 tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
@@ -654,5 +878,5 @@ class TestAttentionMaps:
         maps = attention_maps(params, cfg, vocab, vocab.decode(ids))
         _, cache = forward_loss(params, ids[None, :], ids[None, :], cfg)
         assert len(maps) == 2
-        for w, layer in zip(maps, cache["layers"]):
+        for w, layer in zip(maps, cache["shards"][0]["layers"]):
             assert w.tobytes() == layer["attn"].weights[0].tobytes()
