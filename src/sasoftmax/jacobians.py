@@ -37,7 +37,7 @@ FD_STEP = 1e-5
 TIE_MARGIN_STEPS = 10.0
 ABS_FLOOR = 1e-9
 # perturbed columns per variant_weights call in _fd_full_rows
-_FD_COLUMNS = 4
+_FD_COLUMNS = 8
 
 
 @dataclass(frozen=True)
@@ -135,6 +135,11 @@ def _fd_full_rows(z: np.ndarray, kind: VariantKind, eps: float, h: float) -> np.
     return out.transpose(2, 0, 1)
 
 
+def _is_int(value) -> bool:
+    # a Python or numpy integer; bool is an int subclass but not a count
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def gradcheck(samples: int, t_range: tuple[int, int] = (1, 8),
               kinds: tuple[VariantKind, ...] = ALL_KINDS,
               tol_rel: float = 1e-6, seed: int = 0,
@@ -152,19 +157,28 @@ def gradcheck(samples: int, t_range: tuple[int, int] = (1, 8),
     seed 7, 39 990 of the 39 993 compared rows of gradcheck(1000, (1, 8))
     have max_rel_err == 0.0. tol_rel only bites once ABS_FLOOR is lowered too.
     """
+    if not _is_int(samples):
+        raise ConfigError(f"samples must be an integer, got {samples!r}")
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}")
     _require_positive("tol_rel", tol_rel)
+    if not (isinstance(t_range, (tuple, list)) and len(t_range) == 2
+            and all(map(_is_int, t_range))):
+        raise ConfigError(f"t_range must be a pair of integers, got {t_range!r}")
     t_lo, t_hi = t_range
     if not 1 <= t_lo <= t_hi:
         raise ConfigError(f"bad row-length range {t_range}")
     kinds = _ordered_kinds(kinds)
+    if not _is_int(seed):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
     reports: list[GradCheckReport] = []
     for t in range(t_lo, t_hi + 1):
+        # one (row, column) tuple per flat entry, shared by every row of this t
+        entries = [divmod(e, t) for e in range(t * t)]
         for kind in kinds:
             z = rng.uniform(-8.0, 8.0, size=(samples, t))
             ties = _tie_rows(z, kind, h)
@@ -182,9 +196,11 @@ def gradcheck(samples: int, t_range: tuple[int, int] = (1, 8),
             # so the worst entry is the lowest flat index among ties.
             worst = eff_rel.argmax(axis=1)
             max_rel = eff_rel[np.arange(samples), worst]
-            reports += map(GradCheckReport._make, zip(
+            # tuple.__new__ is what GradCheckReport._make runs, without its
+            # Python frame or length check: the 8-way zip fixes each row's arity
+            reports += map(tuple.__new__, repeat(GradCheckReport), zip(
                 repeat(kind), repeat(t), range(samples), max_abs.tolist(), max_rel.tolist(),
-                zip((worst // t).tolist(), (worst % t).tolist()),
+                map(entries.__getitem__, worst.tolist()),
                 (max_rel <= tol_rel).tolist(), ties.tolist()))
     return reports
 

@@ -71,6 +71,16 @@ BAD_SETTINGS = {
     "gradcheck_kind_str": lambda: gradcheck(
         samples=2, t_range=(1, 1), kinds=(VariantKind.V4, "v3", "nonsense")),
     "gradcheck_seed_neg": lambda: gradcheck(samples=1, t_range=(1, 2), seed=-1),
+    "gradcheck_seed_float": lambda: gradcheck(samples=1, t_range=(1, 1), seed=1.5),
+    "gradcheck_seed_bool": lambda: gradcheck(samples=1, t_range=(1, 1), seed=True),
+    "gradcheck_samples_float": lambda: gradcheck(samples=2.0, t_range=(1, 1)),
+    "gradcheck_samples_bool": lambda: gradcheck(samples=True, t_range=(1, 1)),
+    "gradcheck_t_range_triple": lambda: gradcheck(samples=2, t_range=(1, 2, 3)),
+    "gradcheck_t_range_int": lambda: gradcheck(samples=2, t_range=5),
+    "gradcheck_t_range_float": lambda: gradcheck(samples=2, t_range=(1.5, 3)),
+    "gradcheck_t_range_float_hi": lambda: gradcheck(samples=2, t_range=(1, 2.0)),
+    "gradcheck_t_range_bool": lambda: gradcheck(samples=2, t_range=(True, 2)),
+    "gradcheck_t_range_str": lambda: gradcheck(samples=2, t_range="12"),
 }
 
 # (2, 3) scores whose second row has no live entry

@@ -237,8 +237,19 @@ class TestStencil:
                 for got in rest:
                     assert got.tobytes() == want.tobytes(), t
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_independent_of_column_group(self, kind, monkeypatch):
+        rng = np.random.default_rng(86)
+        for t in range(1, 13):
+            z = stencil_rows(t, rng)
+            got = []
+            for columns in (1, 4, 8):
+                monkeypatch.setattr(jacobians, "_FD_COLUMNS", columns)
+                got.append(_fd_full_rows(z, kind, DEFAULT_EPS, FD_STEP).tobytes())
+            assert got[1:] == got[:1] * 2, t
+
     def test_one_block_makes_few_kernel_calls(self, monkeypatch):
-        # four calls for a t = 8 block: two signs of four columns each
+        # a t = 8 block is one group of eight columns: one call per sign
         calls = []
 
         def counting(*args):
@@ -247,7 +258,7 @@ class TestStencil:
 
         monkeypatch.setattr(jacobians, "variant_weights", counting)
         gradcheck(samples=10, t_range=(8, 8), kinds=(VariantKind.V4,))
-        assert len(calls) <= 4, calls
+        assert calls == [(8, 10, 8)] * 2, calls
 
 
 class TestClosedFormOracle:
@@ -314,6 +325,10 @@ class TestGradcheck:
         with pytest.raises(ValueError):
             gradcheck(samples=1, t_range=(3, 2))
 
+    def test_accepts_numpy_integers_and_list_range(self):
+        want = gradcheck(samples=3, t_range=(1, 2), seed=4)
+        assert gradcheck(samples=np.int64(3), t_range=[np.int32(1), 2], seed=np.uint8(4)) == want
+
     # Central differences at the default step are accurate to about the
     # absolute floor, so rows fail only once the floor is lowered as well.
     @pytest.mark.parametrize("tol_rel, abs_floor", [(1e-6, ABS_FLOOR), (1e-12, 1e-14)])
@@ -333,6 +348,8 @@ class TestGradcheck:
             assert 0 < len(failed) < len(checked)
             assert len({r.worst_entry for r in failed}) > 10
         for r in got:
+            # the rows are built without _make's length check
+            assert type(r) is GradCheckReport and len(r) == len(GradCheckReport._fields)
             assert type(r.max_abs_err) is float and type(r.max_rel_err) is float
             assert type(r.passed) is bool and type(r.skipped_tie) is bool
             assert type(r.worst_entry) is tuple
