@@ -8,6 +8,13 @@ given (seed, config, corpus), whatever the CPU count: the train step and eval
 split their work into fixed pieces, run them side by side on the CPUs the
 process may use (the train step only on those its BLAS leaves free), and
 combine the results in a fixed order.
+
+Importing this module, and so the sasoftmax package, sets two glibc malloc
+thresholds for the whole process (_keep_freed_heap): freed blocks stay mapped
+and are reused by the next step, chunk or stencil instead of being
+page-faulted in again. The process's RSS therefore does not shrink after a
+peak; the peak itself moved by under 1% in the median of perfbench's runs.
+Off glibc nothing is set.
 """
 
 from __future__ import annotations
@@ -46,26 +53,25 @@ from .variants import DEFAULT_EPS, VariantKind
 LN_EPS = 1e-5
 CHECKPOINT_MAGIC = b"SAXLM001"
 # evaluate_ppl runs max(1, _EVAL_CHUNK_POSITIONS // seq_len) windows per
-# forward: 5 windows at the default seq_len of 64. A chunk's temporaries then
-# stay small enough for glibc to reuse the same heap from one chunk to the
-# next. From 6 windows up they often go back to the kernel when freed and the
-# next chunk page-faults them in again: one eval of the bundled corpus at the
-# default config took under 10 minor faults per call in chunks of 2-5
-# windows, ~50k-100k in 6-8 with two threads and ~234k in 32
-# (BENCH_eval.json). Smaller chunks run slower: at 2 windows the per-chunk
-# Python overhead dominates, and with two threads 4 windows took ~1000 ms per
-# call against ~830 ms at 5 (the same at one thread). The chunks run through
-# _run_all on _workers() threads, so about that many chunks' temporaries are
-# alive at once; the peak still does not grow with the text, and each
-# chunk's losses have the same bits whichever thread computes them.
-_EVAL_CHUNK_POSITIONS = 320
+# forward: 7 windows at the default seq_len of 64. Freed blocks stay in the
+# heap (_keep_freed_heap), so no chunk size page-faults its temporaries in
+# again: an eval of the bundled corpus at the default config took 3 minor
+# faults per call at 5 to 16 windows. Larger chunks spread the per-chunk
+# Python work over more positions and run faster (two threads: ~720 ms per
+# call at 5 windows, ~590 ms at 8, ~520 ms at 16), but each thread holds one
+# chunk's temporaries, so the peak grows with the chunk: perfbench's
+# eval_corpus peaked at 85.5 MB of RSS at 5 windows, 86.7 MB at 7, 87.3 MB at
+# 8 and 91.8 MB at 16. 7 is the largest chunk within 2% of the peak at 5
+# (BENCH_train.json kept_heap). The peak does not grow with the text, and a
+# window's losses have the same bits at any chunk size and on any thread.
+_EVAL_CHUNK_POSITIONS = 448
 # forward_loss splits the batch into micro-batches of this many windows (the
 # last one may be shorter), and backward sums their gradients in micro-batch
 # order, so the gradients have the same bits whatever the worker count. It
 # does not depend on the CPU count. 8 splits the default batch of 16 in two:
-# with one BLAS thread at two workers a default step took 17-20 ms per kind,
-# against 20-24 ms in micro-batches of 4 and 24-28 ms in one of 16
-# (BENCH_train.json).
+# with one BLAS thread at two workers a default step took 16-19 ms per kind,
+# against 21-25 ms in micro-batches of 4 and 23-26 ms in one of 16
+# (BENCH_train.json kept_heap).
 _TRAIN_SHARD_WINDOWS = 8
 
 
@@ -611,11 +617,12 @@ def _train_workers() -> int:
 
     A multi-threaded OpenBLAS serialises the train step's calls made at once
     from several threads, while its own threads spin: the default step took
-    ~33 ms at two workers on a two-CPU host against ~22 ms at one, with
-    OpenBLAS at two threads, and ~19 ms at two workers with OpenBLAS at one.
+    ~30 ms at two workers on a two-CPU host against ~26 ms at one, with
+    OpenBLAS at two threads, and ~18 ms at two workers with OpenBLAS at one.
     Eval's smaller calls do not lose this way: with OpenBLAS at two threads
-    an eval of the bundled corpus took ~790 ms on two threads against
-    ~980 ms on one (BENCH_train.json), so _workers() leaves the BLAS out.
+    an eval of the bundled corpus took ~900 ms on two threads against
+    ~1250 ms on one (BENCH_train.json kept_heap), so _workers() leaves the
+    BLAS out.
     """
     cpus = _workers()
     getters = _openblas_thread_getters()
@@ -658,6 +665,31 @@ def _openblas_paths(maps_lines) -> list[str]:
                 and "openblas" in fields[5].rsplit("/", 1)[-1]):
             paths.add(fields[5])
     return sorted(paths)
+
+
+def _keep_freed_heap() -> None:
+    """Have glibc keep freed blocks mapped for reuse, for the whole process.
+
+    By default glibc maps each block above its mmap threshold (128 KiB at
+    first) on its own and unmaps it when freed, and hands a heap's free top
+    back to the kernel once it passes 128 KiB; a train step that drops its
+    temporaries then page-faults them in again, zero-filled, the next step.
+    Blocks up to 32 MiB (glibc's 64-bit maximum) now come from the heap, and
+    up to 64 MiB of free top stays mapped. Both are needed: the trim
+    threshold alone also freezes the mmap threshold at 128 KiB. Nothing is
+    set where there is no mallopt or it refuses (it returns 0, as musl's
+    does).
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library to ask
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    if mallopt(-3, 32 << 20):  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_heap()
 
 
 def _run_all(fn, items, workers: int) -> list:

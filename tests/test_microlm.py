@@ -4,9 +4,15 @@ training behavior, perplexity, and checkpoint round-trips."""
 import collections
 import dataclasses
 import hashlib
+import json
+import os
+import platform
+import subprocess
 import sys
 import threading
 import tracemalloc
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -479,6 +485,99 @@ class TestRunAll:
             _run_all(fn, range(6), workers)
         assert threading.active_count() == before
         assert {0, 1, 2} <= set(ran) and 5 not in ran
+
+
+# Default-config v4 train steps as perfbench's train_mix runs them, each
+# step's cache dropped when it returns; prints the median minor page faults of
+# a step, the threads one step started, and whether that step's loss and
+# gradients keep their bits at one worker.
+KEPT_HEAP_STEPS = r"""
+import json, resource, statistics, threading
+import numpy as np
+from sasoftmax import VariantKind, microlm
+from sasoftmax.cli import bundled_corpus_path
+
+corpus = bundled_corpus_path()
+tokens, vocab = microlm.load_corpus(corpus)
+cfg = microlm.TrainConfig(corpus_path=str(corpus), kind=VariantKind.V4, seed=1)
+rng = np.random.default_rng(1)
+params = microlm.init_params(cfg, vocab.size, rng)
+state = microlm.init_adam(params)
+
+def step():
+    inputs, targets = microlm.sample_windows(tokens, cfg.seq_len, cfg.batch, rng)
+    _, cache = microlm.forward_loss(params, inputs, targets, cfg)
+    grads = microlm.backward(cache)
+    microlm.global_grad_norm(grads)
+    microlm.adam_step(params, grads, state, cfg)
+
+for _ in range(10):
+    step()
+faults = []
+for _ in range(20):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    step()
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+
+started = []
+
+class CountedThread(threading.Thread):
+    def start(self):
+        started.append(self)
+        super().start()
+
+threading.Thread = CountedThread
+inputs, targets = microlm.sample_windows(tokens, cfg.seq_len, cfg.batch, rng)
+
+def loss_and_grads():
+    loss, cache = microlm.forward_loss(params, inputs, targets, cfg)
+    grads = microlm.backward(cache)
+    return [np.float64(loss).tobytes()] + [grads[name].tobytes() for name in sorted(grads)]
+
+threaded = loss_and_grads()
+threads = len(started)
+microlm._train_workers = lambda: 1
+print(json.dumps({"median_faults": statistics.median(faults), "threads": threads,
+                  "same_bits": loss_and_grads() == threaded}))
+"""
+
+
+class TestKeptHeap:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_train_step_reuses_its_heap_on_two_threads(self):
+        # one BLAS thread, as perfbench runs, so _train_workers() gives the
+        # step's two micro-batches a thread each on two CPUs; without the
+        # kept heap a step takes thousands of minor faults
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [
+                   str(Path(microlm.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", KEPT_HEAP_STEPS], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["median_faults"] < 100, out
+        assert out["same_bits"], out
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        if "openblas" in blas and microlm._workers() >= 2:
+            assert out["threads"] > 0, out
+
+    def test_no_glibc_mallopt_sets_nothing(self, monkeypatch):
+        calls = []
+
+        def refusing_mallopt(param, value):  # musl's returns 0 for every param
+            calls.append(param)
+            return 0
+
+        def no_c_library(name):  # Windows: CDLL(None) is a TypeError
+            raise TypeError("no C library")
+
+        for cdll in (no_c_library, lambda name: types.SimpleNamespace(),
+                     lambda name: types.SimpleNamespace(mallopt=refusing_mallopt)):
+            monkeypatch.setattr(microlm.ctypes, "CDLL", cdll)
+            microlm._keep_freed_heap()
+        # a refused mmap threshold leaves the trim threshold unset
+        assert calls == [-3]
 
 
 def einsum_backward(cache, params, cfg):
