@@ -315,6 +315,11 @@ def main(argv=None) -> int:
     except (SaSoftmaxError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except MemoryError as exc:
+        # e.g. a sweep whose --t asks for a t x t Jacobian too large to
+        # allocate; numpy's message names the size it could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 def entrypoint() -> None:

@@ -15,6 +15,12 @@ and are reused by the next step, chunk or stencil instead of being
 page-faulted in again. The process's RSS therefore does not shrink after a
 peak; the peak itself moved by under 1% in the median of perfbench's runs.
 Off glibc nothing is set.
+
+scipy is imported only by the first GELU (_erf): by forward_loss,
+evaluate_ppl, attention_maps and train, and so by the train, eval and dump
+commands. Importing the package, the kernels, the gradient oracles and the
+saturation sweep load no scipy, and save its ~23 MB of RSS and 0.25-0.3 s of
+start-up.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erf
 
 from .attention import AttentionInput, attention_backward, attention_forward
 from .errors import (
@@ -229,10 +234,21 @@ _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
+@functools.cache
+def _erf():
+    """scipy.special.erf, imported by the first GELU, not with the module
+    (see the module docstring). Two threads that run their first GELU at once
+    are safe: Python's import lock for the module lets one of them import it
+    while the other waits for it."""
+    from scipy.special import erf
+
+    return erf
+
+
 def _gelu(x, keep):
     """x * Phi(x), and with keep its derivative Phi(x) + x * pdf(x) (else None)."""
     phi = x / _SQRT2
-    erf(phi, out=phi)
+    _erf()(phi, out=phi)
     phi += 1.0
     phi *= 0.5
     if not keep:
@@ -633,7 +649,10 @@ def _train_workers() -> int:
 @functools.lru_cache(maxsize=1)
 def _openblas_thread_getters() -> tuple:
     """openblas_get_num_threads of every OpenBLAS mapped into this process
-    (numpy's and scipy's each bundle one); none off Linux."""
+    at the first call; none off Linux. numpy's OpenBLAS runs every BLAS call
+    of the package. scipy bundles another, mapped only once the first GELU
+    imports scipy.special (_erf), so a first call before that lists numpy's
+    alone; scipy's runs none of the package's calls."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as maps:
             paths = _openblas_paths(maps)

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from sasoftmax import TrainConfig, load_checkpoint, microlm, save_checkpoint
+from sasoftmax import TrainConfig, cli, load_checkpoint, microlm, save_checkpoint
 from sasoftmax.cli import build_parser, main
 
 # Every option `train` takes. TrainConfig fields left off the CLI (rope_base)
@@ -156,6 +156,19 @@ class TestSweepCommand:
 
     def test_bad_kind_is_config_error(self, tmp_path):
         assert main(["sweep", "--kinds", "v7", "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("command", ["sweep", "gradcheck"])
+    def test_out_of_memory_exits_1(self, tmp_path, capsys, monkeypatch, command):
+        # a --t of 100000 asks the sweep for a 74.5 GiB Jacobian; a stand-in
+        # runner raises as numpy would, so nothing is allocated
+        why = "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"
+
+        def no_memory(merged):
+            raise MemoryError(why)
+
+        monkeypatch.setitem(cli.RUNNERS, command, no_memory)
+        assert main([command, "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == f"error: out of memory: {why}\n"
 
     @pytest.mark.parametrize("flags", [
         ["--eps", "nan"],

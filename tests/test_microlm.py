@@ -580,6 +580,66 @@ class TestKeptHeap:
         assert calls == [-3]
 
 
+# A process's first GELU, which imports scipy.special, run on two threads at
+# once: in eval's chunks ("eval") or in the train step's micro-batches
+# ("train"), with the thread switch interval at 1 us; prints whether scipy was
+# unloaded before and loaded after, the threads started, and whether the
+# result has the same bits when run again at one worker.
+FIRST_GELU = r"""
+import json, sys, threading
+import numpy as np
+from sasoftmax import microlm
+from sasoftmax.cli import bundled_corpus_path
+
+corpus = bundled_corpus_path()
+tokens, vocab = microlm.load_corpus(corpus)
+cfg = microlm.TrainConfig(corpus_path=str(corpus), seed=1)
+params = microlm.init_params(cfg, vocab.size, np.random.default_rng(1))
+inputs, targets = microlm.sample_windows(tokens, cfg.seq_len, cfg.batch,
+                                         np.random.default_rng(2))
+text = vocab.decode(tokens[: 4 * microlm._EVAL_CHUNK_POSITIONS + 1])
+
+def run():
+    if sys.argv[1] == "eval":
+        return [np.float64(microlm.evaluate_ppl(params, cfg, vocab, text)).tobytes()]
+    loss, cache = microlm.forward_loss(params, inputs, targets, cfg)
+    grads = microlm.backward(cache)
+    return [np.float64(loss).tobytes()] + [grads[name].tobytes() for name in sorted(grads)]
+
+started = []
+
+class CountedThread(threading.Thread):
+    def start(self):
+        started.append(self)
+        super().start()
+
+threading.Thread = CountedThread
+microlm._workers = microlm._train_workers = lambda: 2
+unloaded = "scipy.special" not in sys.modules
+sys.setswitchinterval(1e-6)
+threaded = run()
+sys.setswitchinterval(0.005)
+loaded = "scipy.special" in sys.modules
+threads = len(started)
+microlm._workers = microlm._train_workers = lambda: 1
+print(json.dumps({"unloaded_before": unloaded, "loaded_after": loaded, "threads": threads,
+                  "same_bits": run() == threaded}))
+"""
+
+
+class TestFirstGelu:
+    @pytest.mark.parametrize("entry", ["eval", "train"])
+    def test_first_gelu_on_two_threads(self, entry):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+            str(Path(microlm.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", FIRST_GELU, entry], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out.pop("threads") > 0
+        assert out == {"unloaded_before": True, "loaded_after": True, "same_bits": True}, out
+
+
 def einsum_backward(cache, params, cfg):
     """The trainer's backward of one _forward cache as it was written with
     np.einsum weight gradients and an np.add.at embed scatter: the reference
