@@ -200,7 +200,7 @@ def attention_backward(cache: AttentionCache, d_out: np.ndarray) -> AttentionGra
 
     The weight-space gradient d_out @ v^T is pulled back to the logits by
     variants._weight_vjp, batched over every query row of every stack, from
-    the softmax and scaler the forward kept.
+    the scores, softmax and scaler the forward kept.
     """
     d_out = np.asarray(d_out, dtype=np.float64)
     if d_out.shape != cache.v.shape:
@@ -208,7 +208,7 @@ def attention_backward(cache: AttentionCache, d_out: np.ndarray) -> AttentionGra
 
     dv = np.swapaxes(cache.weights, -1, -2) @ d_out
     dw = d_out @ np.swapaxes(cache.v, -1, -2)
-    dz = _weight_vjp(cache.mask, dw, cache.softmax, cache.scaler, cache.weights)
+    dz = _weight_vjp(cache.scores, cache.mask, dw, cache.softmax, cache.scaler, cache.weights)
 
     dq_rot = dz @ cache.k_rot
     dq_rot *= cache.scale

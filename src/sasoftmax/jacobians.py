@@ -70,8 +70,8 @@ def _jacobian_full_rows(z: np.ndarray, kind: VariantKind, eps: float) -> np.ndar
     samples innermost in memory, as _fd_full_rows returns them.
 
     One _weight_vjp call on a stack of the T basis vectors gives every row of
-    every block. The rows carry a leading axis of length 1, so the scaler's
-    argmin/argmax have the stack's number of axes, as variants._sub_at needs.
+    every block. The rows carry a leading axis of length 1, so the argmin/argmax
+    found in them have the stack's number of axes, as variants._sub_at needs.
     """
     n, t = z.shape
     rows = np.asfortranarray(z, dtype=np.float64)[np.newaxis]
@@ -79,7 +79,7 @@ def _jacobian_full_rows(z: np.ndarray, kind: VariantKind, eps: float) -> np.ndar
     # memory order (j, k, sample), viewed as (j, sample, k); basis[j, :, j] = 1
     basis = np.zeros((t, t, n)).transpose(0, 2, 1)
     basis[np.arange(t), :, np.arange(t)] = 1.0
-    return _weight_vjp(mask, basis, *_weights(rows, mask, kind, eps)).transpose(1, 0, 2)
+    return _weight_vjp(rows, mask, basis, *_weights(rows, mask, kind, eps)).transpose(1, 0, 2)
 
 
 def variant_jacobian(z, kind: VariantKind, eps: float = DEFAULT_EPS) -> JacobianBlock:
@@ -220,5 +220,5 @@ def variant_weight_vjp(scores: np.ndarray, mask: np.ndarray, grad_w: np.ndarray,
     scores = np.asarray(scores, dtype=np.float64)
     _check_batch(scores, mask, grad_w)
     grad_w = np.broadcast_to(grad_w, scores.shape)
-    return _weight_vjp(mask, grad_w, *_weights(scores, mask, kind, eps))
+    return _weight_vjp(scores, mask, grad_w, *_weights(scores, mask, kind, eps))
 

@@ -14,15 +14,16 @@ The batched kernels take scores of shape (..., T) with a boolean mask of
 live (causal) positions: extrema are taken over the live entries only, ties
 resolve to the lowest index, and masked positions are forced to exactly 0 in
 every output. variant_weights, variant_scaler and jacobians.variant_weight_vjp
-raise ShapeMismatch unless the mask broadcasts to the scores' shape, and
-EmptyRow unless every row has a live entry. masked_softmax and
-masked_extrema, which the attention layer runs on its own causal mask, check
-nothing. The single-row API (apply_variant, and the Jacobians built on it)
+raise ShapeMismatch unless the mask is boolean and broadcasts to the scores'
+shape, and EmptyRow unless every row has a live entry. masked_softmax and
+masked_extrema (whose two halves the attention layer runs on its own causal
+mask) check nothing. The single-row API (apply_variant, and the Jacobians built on it)
 takes one row of live logits and no mask. All arithmetic is 64-bit.
 
 _weight_vjp, next to the scaler whose gates it reads, is the one analytic
 gradient in the package: the attention backward and every Jacobian in
-jacobians run it.
+jacobians run it. The forward takes only each row's live min and max, and
+only _weight_vjp looks for the argmin/argmax, in the scores it is passed.
 """
 
 from __future__ import annotations
@@ -85,11 +86,13 @@ def _checked_values(z) -> np.ndarray:
 
 def _check_batch(scores, mask, grad_w=None) -> None:
     """The batched kernels' input contract, read from shapes and the mask only:
-    the mask (and an upstream gradient) broadcast to the scores' shape, and
-    every row of the mask has a live entry."""
+    the mask is boolean, it (and an upstream gradient) broadcasts to the
+    scores' shape, and every row of the mask has a live entry."""
     target = np.shape(scores)
     if not target:
         raise ShapeMismatch("scores need a row axis, got a scalar")
+    if np.asarray(mask).dtype != bool:
+        raise ShapeMismatch(f"mask must be boolean, got dtype {np.asarray(mask).dtype}")
     for name, a in (("mask", mask), ("grad_w", grad_w)):
         if a is None:
             continue
@@ -127,16 +130,22 @@ def masked_extrema(scores: np.ndarray, mask: np.ndarray):
     """(min, max, argmin, argmax) over the live entries of each row.
 
     np.argmin/np.argmax return the first occurrence, which gives the
-    lowest-index tie rule needed for deterministic gradients.
+    lowest-index tie rule needed for deterministic gradients. The scaler
+    takes the values and _weight_vjp the positions, each on its own.
     """
-    hi_fill = np.where(mask, scores, np.inf)
-    lo_fill = np.where(mask, scores, -np.inf)
-    return (
-        np.min(hi_fill, axis=-1),
-        np.max(lo_fill, axis=-1),
-        np.argmin(hi_fill, axis=-1),
-        np.argmax(lo_fill, axis=-1),
-    )
+    return (*_masked_values(scores, mask), *_masked_positions(scores, mask))
+
+
+def _masked_values(scores: np.ndarray, mask: np.ndarray):
+    """(min, max) over the live entries of each row."""
+    return (np.min(np.where(mask, scores, np.inf), axis=-1),
+            np.max(np.where(mask, scores, -np.inf), axis=-1))
+
+
+def _masked_positions(scores: np.ndarray, mask: np.ndarray):
+    """(argmin, argmax) over the live entries of each row, first occurrence."""
+    return (np.argmin(np.where(mask, scores, np.inf), axis=-1),
+            np.argmax(np.where(mask, scores, -np.inf), axis=-1))
 
 
 class _Scaler(NamedTuple):
@@ -145,15 +154,13 @@ class _Scaler(NamedTuple):
     ``u`` has the shape of the scores and is 0 on masked entries. Everything
     else is per row, with a trailing axis of length 1, or a float where it is
     the same for every row. lo and hi follow at most the row's live min and
-    max, so their gradients are two gates: dlo/dx[amin] and dhi/dx[amax]. A
-    gate is None where lo (or d) is constant; otherwise d = hi - lo + eps, so
-    dd/dx[amin] = -dlo/dx[amin].
+    max, so their gradients are two gates at positions _weight_vjp finds:
+    dlo/dx[argmin] and dhi/dx[argmax]. A gate is None where lo (or d) is
+    constant; otherwise d = hi - lo + eps, so dd/dx[argmin] = -dlo/dx[argmin].
     """
 
     u: np.ndarray
     d: np.ndarray | float
-    amin: np.ndarray | None = None
-    amax: np.ndarray | None = None
     lo_at_min: np.ndarray | float | None = None
     hi_at_max: np.ndarray | float | None = None
 
@@ -162,9 +169,9 @@ def _scaler(scores: np.ndarray, mask: np.ndarray, kind: VariantKind, eps: float)
     """lo, d and their gates for v1-v4; the one place the kinds differ."""
     if kind is VariantKind.V1:
         return _Scaler(np.where(mask, scores, 0.0), 1.0)
-    mn, mx, amin, amax = (a[..., np.newaxis] for a in masked_extrema(scores, mask))
+    mn, mx = (a[..., np.newaxis] for a in _masked_values(scores, mask))
     if kind is VariantKind.V2:
-        return _Scaler(np.where(mask, scores - mn, 0.0), 1.0, amin, amax, 1.0)
+        return _Scaler(np.where(mask, scores - mn, 0.0), 1.0, 1.0)
     if kind is VariantKind.V3:
         lo, hi, lo_live, hi_live = mn, mx, 1.0, 1.0
     elif kind is VariantKind.V4:
@@ -174,8 +181,7 @@ def _scaler(scores: np.ndarray, mask: np.ndarray, kind: VariantKind, eps: float)
         hi_live = (mx > 0.0).astype(np.float64)
     else:
         raise ConfigError(f"kind must be a VariantKind, got {kind!r}")
-    return _Scaler(np.where(mask, scores - lo, 0.0), hi - lo + eps, amin, amax,
-                   lo_live, hi_live)
+    return _Scaler(np.where(mask, scores - lo, 0.0), hi - lo + eps, lo_live, hi_live)
 
 
 def variant_scaler(scores: np.ndarray, mask: np.ndarray, kind: VariantKind,
@@ -224,11 +230,12 @@ def _sub_at(a: np.ndarray, idx: np.ndarray, v: np.ndarray) -> None:
     np.put_along_axis(a, idx, np.take_along_axis(a, idx, axis=-1) - v, axis=-1)
 
 
-def _weight_vjp(mask: np.ndarray, grad_w: np.ndarray, s: np.ndarray,
-                sc: _Scaler | None, w: np.ndarray) -> np.ndarray:
+def _weight_vjp(scores: np.ndarray, mask: np.ndarray, grad_w: np.ndarray,
+                s: np.ndarray, sc: _Scaler | None, w: np.ndarray) -> np.ndarray:
     """dL/dz given dL/dw = grad_w, from the softmax s, scaler sc and weights
-    w = c * s of the same scores, as _weights returns them; 0 where masked.
-    The scaler passes gradient at the argmin/argmax by the gates of _scaler.
+    w = c * s of the scores, as _weights returns them; 0 where masked.
+    The scaler passes gradient at the scores' live argmin/argmax by the gates
+    of _scaler; only where a gate exists are the positions looked for.
     """
     # dz starts as a masked copy of grad_w; every later step writes only dz
     # or gs, never an argument, and the masked entries are zeroed last.
@@ -247,12 +254,13 @@ def _weight_vjp(mask: np.ndarray, grad_w: np.ndarray, s: np.ndarray,
         gs /= sc.d
         dz += gs
         if sc.lo_at_min is not None:
-            _sub_at(dz, sc.amin, sc.lo_at_min * gs_sum / sc.d)
+            amin, amax = (a[..., np.newaxis] for a in _masked_positions(scores, mask))
+            _sub_at(dz, amin, sc.lo_at_min * gs_sum / sc.d)
         if sc.hi_at_max is not None:
             # sum_j g_j s_j u_j / d^2 = gw_sum / d
             quot = gw_sum / sc.d
-            _sub_at(dz, sc.amax, sc.hi_at_max * quot)
-            _sub_at(dz, sc.amin, -sc.lo_at_min * quot)
+            _sub_at(dz, amax, sc.hi_at_max * quot)
+            _sub_at(dz, amin, -sc.lo_at_min * quot)
     np.copyto(dz, 0.0, where=~mask)
     return dz
 

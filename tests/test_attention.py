@@ -306,6 +306,9 @@ class TestBackward:
         arrays = (q, k, v, bias, d_out)
         before = [a.tobytes() for a in arrays]
         _, cache = attention_forward(AttentionInput(q, k, v, kind=kind, bias=bias, rope=True))
+        # the scaler keeps no argmin/argmax: the backward finds them in the scores
+        assert all(a.dtype == np.float64 for a in cache.scaler or ()
+                   if isinstance(a, np.ndarray))
         kept = cached_bytes(cache)
         first = attention_backward(cache, d_out)
         second = attention_backward(cache, d_out)
@@ -371,9 +374,9 @@ class TestBackward:
                         lambda x: np.swapaxes(np.swapaxes(x, -1, -2).copy(), -1, -2))
         for layout in column_major:
             # every array the backward reads, the forward's factors included:
-            # u has the scores' shape, and d, argmin/argmax and the gates a
-            # trailing axis of length 1; the VJP scatters at argmin/argmax
-            # with _sub_at
+            # u has the scores' shape, and d and the gates a trailing axis of
+            # length 1; the VJP finds the argmin/argmax in the moved scores
+            # and scatters there with _sub_at
             scaler = None if cache.scaler is None else cache.scaler._replace(**{
                 f: layout(a) for f, a in cache.scaler._asdict().items()
                 if isinstance(a, np.ndarray)})

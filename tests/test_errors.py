@@ -107,6 +107,15 @@ BAD_INPUTS = {
         SCORES, np.ones((2, 2), dtype=bool), SCORES, V4)),
     "vjp_grad_shape": (ShapeMismatch, lambda: variant_weight_vjp(
         SCORES, np.ones((2, 3), dtype=bool), np.ones((2, 2)), V4)),
+    # a 0/1 mask of another dtype is not read as truthy
+    "weights_int_mask": (ShapeMismatch, lambda: variant_weights(SCORES, np.ones((2, 3), int), V4)),
+    "weights_float_mask": (ShapeMismatch, lambda: variant_weights(SCORES, np.ones((2, 3)), V4)),
+    "scaler_int_mask": (ShapeMismatch, lambda: variant_scaler(SCORES, np.ones((2, 3), int), V3)),
+    "scaler_float_mask": (ShapeMismatch, lambda: variant_scaler(SCORES, np.ones((2, 3)), V3)),
+    "vjp_int_mask": (ShapeMismatch, lambda: variant_weight_vjp(
+        SCORES, np.ones((2, 3), int), SCORES, V4)),
+    "vjp_float_mask": (ShapeMismatch, lambda: variant_weight_vjp(
+        SCORES, np.ones((2, 3)), SCORES, V4)),
 }
 
 

@@ -26,7 +26,7 @@ from sasoftmax.jacobians import (
     _jacobian_full_rows,
     _tie_rows,
 )
-from sasoftmax.variants import _weights, variant_weights
+from sasoftmax.variants import _weights, masked_extrema, variant_weights
 
 from closed_form import closed_form_jacobians
 
@@ -391,7 +391,66 @@ def loop_gradcheck(samples, t_range, tol_rel, seed, abs_floor):
     return reports
 
 
+def first_live_extrema(row, live):
+    """(argmin, argmax) of row over its live entries, the first of any tie,
+    by a plain loop; -0.0 == 0.0, so signed zeros tie."""
+    idx = [i for i in range(len(row)) if live[i]]
+    lo = min(row[i] for i in idx)
+    hi = max(row[i] for i in idx)
+    return next(i for i in idx if row[i] == lo), next(i for i in idx if row[i] == hi)
+
+
+def hard_rows():
+    """(scores, mask) rows of at most 6 entries, so that a row's sums run in
+    order whatever its masked entries: exact ties at the min and the max,
+    signed zeros, v4 rows whose live min or max is exactly 0, and masked
+    entries below the live min or above the live max."""
+    live = [True] * 6
+    rows = [
+        ([1.0, -2.0, 3.0, -2.0, 3.0, 1.0], live),
+        ([0.0, -0.0, 0.0, 1.0, 2.5, 2.5], live),
+        ([-0.0, 0.0, -1.0, -0.0, -1.0, 0.0], live),
+        ([0.0, 2.5, -0.0, 1.0, 2.5, 0.0], live),
+        ([-1.0, -1.0, -1.0, -1.0, -1.0, -1.0], live),
+        ([-9.0, 1.0, -1.0, 9.0, 1.0, -1.0], [False, True, True, False, True, True]),
+        ([-9.0, 0.0, 2.5, 2.5, -0.0, 7.0], [False, True, True, True, True, False]),
+        ([9.0, -0.0, -1.0, -1.0, 0.0, -9.0], [False, True, True, True, True, False]),
+        ([-5.0, 2.5, 8.0, 2.5, -3.0, 0.0], [False, True, False, True, False, False]),
+    ]
+    rng = np.random.default_rng(81)
+    for _ in range(40):
+        row = rng.choice([0.0, -0.0, 1.0, -1.0, 2.5], size=6)
+        mask = rng.random(6) < 0.6
+        mask[rng.integers(0, 6)] = True
+        row[~mask] = rng.choice([-9.0, 9.0], size=(~mask).sum())
+        rows.append((row, mask))
+    return [(np.array(r, dtype=np.float64), np.array(m)) for r, m in rows]
+
+
 class TestWeightVjp:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_gate_positions_on_hard_rows(self, kind):
+        # The VJP finds the argmin/argmax itself. On rows full of ties it
+        # must put each gate on the lowest live index, ignore masked entries
+        # outside the live range, and give masked columns exactly 0. Row j of
+        # the closed form on the live entries is the VJP of e_j; the baseline,
+        # v1 and v2 assemble it with the same rounding, v3 and v4 within
+        # round-off (a gate in the wrong column moves an entry by O(s/d)).
+        # The closed form's positions come from masked_extrema, which shares
+        # the VJP's finder, so they are pinned to a plain loop first.
+        atol = 0.0 if kind in (VariantKind.BASELINE, VariantKind.V1, VariantKind.V2) else 1e-15
+        for row, mask in hard_rows():
+            want = first_live_extrema(row, mask)
+            assert tuple(int(a) for a in masked_extrema(row, mask)[2:]) == want
+            live = np.flatnonzero(mask)
+            oracle = closed_form_jacobians(row[np.newaxis, live], kind)[0]
+            basis = np.zeros((len(live), 1, len(row)))
+            basis[np.arange(len(live)), 0, live] = 1.0
+            dz = variant_weight_vjp(np.broadcast_to(row, basis.shape),
+                                    np.broadcast_to(mask, basis.shape), basis, kind)[:, 0]
+            assert np.all(dz[:, ~mask] == 0.0)
+            np.testing.assert_allclose(dz[:, live], oracle, rtol=0, atol=atol)
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_matches_transposed_jacobian(self, kind):
         rng = np.random.default_rng(77)

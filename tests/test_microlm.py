@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sasoftmax import attention, microlm, variants
+from sasoftmax import attention, jacobians, microlm, variants
 from sasoftmax import (
     ALL_KINDS,
     CheckpointError,
@@ -179,12 +179,14 @@ class TestForwardLoss:
     def test_v4_step_computes_each_factor_once(self, corpus_path, monkeypatch):
         # the backward reads the softmax, scaler and RoPE tables its forward
         # kept: one of each per layer per micro-batch, two micro-batches at the
-        # default batch (recomputing them would make 8 / 8 / 16). One worker,
-        # so no thread races the counter.
+        # default batch (recomputing them would make 8 / 8 / 16). The row's
+        # min and max are taken in the forward and its argmin and argmax in
+        # the backward, once each per layer per micro-batch. One worker, so no
+        # thread races the counter.
         monkeypatch.setattr(microlm, "_workers", lambda: 1)
         counts = collections.Counter()
-        for owner, name in ((variants, "masked_softmax"), (variants, "masked_extrema"),
-                            (attention, "rope_tables")):
+        for owner, name in ((variants, "masked_softmax"), (variants, "_masked_values"),
+                            (variants, "_masked_positions"), (attention, "rope_tables")):
             fn = getattr(owner, name)
 
             def counted(*args, _fn=fn, _name=name, **kwargs):
@@ -199,9 +201,37 @@ class TestForwardLoss:
         rng = np.random.default_rng(0)
         params = init_params(cfg, vocab.size, rng)
         inputs, targets = sample_windows(tokens, cfg.seq_len, cfg.batch, rng)
-        backward(forward_loss(params, inputs, targets, cfg)[1])
+        cache = forward_loss(params, inputs, targets, cfg)[1]
+        assert counts == {"masked_softmax": 4, "_masked_values": 4, "rope_tables": 4}
+        backward(cache)
         assert cfg.layers == 2 and cfg.batch == 2 * microlm._TRAIN_SHARD_WINDOWS
-        assert counts == {"masked_softmax": 4, "masked_extrema": 4, "rope_tables": 4}
+        assert counts == {"masked_softmax": 4, "_masked_values": 4, "_masked_positions": 4,
+                          "rope_tables": 4}
+
+    def test_forward_only_paths_search_no_positions(self, corpus_path, monkeypatch):
+        # only the VJP needs the argmin/argmax, so no forward-only path may
+        # look for them: with the finder raising, each of these still runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("a forward-only path searched for argmin/argmax")
+
+        monkeypatch.setattr(variants, "_masked_positions", refuse)
+        rng = np.random.default_rng(5)
+        scores = rng.normal(size=(3, 4, 4))
+        mask = attention.causal_mask(4)
+        for kind in ALL_KINDS:
+            variants.variant_weights(scores, mask, kind)
+            variants.variant_scaler(scores, mask, kind)
+            variants.apply_variant(scores[0, 3], kind)
+            jacobians._fd_full_rows(scores[0], kind, variants.DEFAULT_EPS, jacobians.FD_STEP)
+            attention.attention_forward(attention.AttentionInput(
+                *rng.normal(size=(3, 2, 4, 4)), kind=kind, rope=True))
+        tokens, vocab = load_corpus(corpus_path)
+        cfg = tiny_config(corpus_path, kind=VariantKind.V4, layers=2)
+        params = init_params(cfg, vocab.size, rng)
+        assert np.isfinite(evaluate_ppl(params, cfg, vocab, vocab.decode(tokens[:201])))
+        assert len(attention_maps(params, cfg, vocab, vocab.decode(tokens[:4]))) == 2
+        with pytest.raises(AssertionError, match="forward-only"):
+            backward(forward_loss(params, *sample_windows(tokens, 4, 2, rng), cfg)[1])
 
     def test_shape_mismatch(self, corpus_path):
         _, vocab = load_corpus(corpus_path)
