@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Compare the bits of training, eval and the gradient oracles across trees.
+"""Compare the bits of training, eval, the gradient oracles and the saturation
+sweep across trees.
 
     python3 scripts/bits.py [--trees OLD,NEW]
 
@@ -17,6 +18,9 @@ SHA-256 per part:
                   200 masked rows of 9 entries drawn from {0.0, -0.0, +-1,
                   2.5}: exact ties, signed zeros, v4 extrema of exactly 0,
                   and masked entries outside the live range
+    sweep-t<T>    sweep_to_csv of saturation_sweep over the three profiles,
+                  every kind, gaps 2, 4, ..., 16, at t = 4 (the sweep command's
+                  default) and at t = 12 (rows of 8 or more entries)
 
 It covers what scripts/artifacts.py leaves out: every step's gradients, the
 default config, and the kernels on rows full of ties. Prints one JSON object
@@ -37,6 +41,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 STEPS = 40
+SWEEP_GAPS = tuple(float(g) for g in range(2, 17, 2))
+SWEEP_LENGTHS = (4, 12)
 
 
 def _digest(arrays) -> str:
@@ -50,8 +56,9 @@ def child() -> dict[str, str]:
     """The hashes of every part, from the sasoftmax this process imports."""
     import numpy as np
 
-    from sasoftmax import (ALL_KINDS, gradcheck, reports_to_json, variant_weight_vjp,
-                           variant_weights)
+    from sasoftmax import (ALL_KINDS, SweepSpec, gradcheck, reports_to_json,
+                           saturation_sweep, sweep_to_csv, variant_weight_vjp, variant_weights)
+    from sasoftmax.diagnostics import PROFILES
     from sasoftmax.cli import bundled_corpus_path
     from sasoftmax.microlm import (TrainConfig, adam_step, backward, evaluate_ppl,
                                    forward_loss, init_adam, init_params, load_corpus,
@@ -92,6 +99,11 @@ def child() -> dict[str, str]:
         out.append(variant_weights(scores, mask, kind))
         out.append(variant_weight_vjp(scores, mask, grad_w, kind))
     parts["tie_rows"] = _digest(out)
+
+    for t in SWEEP_LENGTHS:
+        csv = "".join(sweep_to_csv(saturation_sweep(SweepSpec(gaps=SWEEP_GAPS, t=t, profile=p)))
+                      for p in PROFILES)
+        parts[f"sweep-t{t}"] = hashlib.sha256(csv.encode()).hexdigest()
     return parts
 
 

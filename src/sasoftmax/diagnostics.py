@@ -6,18 +6,21 @@ saturates) and summarize it three ways so no single scalar hides the
 behavior: the Frobenius norm, the diagonal entry at the distinguished
 position, and the total absolute gradient the distinguished logit receives
 from all weights (the column sum, i.e. what backprop actually delivers to
-that logit).
+that logit). A sweep builds every Jacobian of a kind from one stacked
+variant_jacobian call over all its gaps.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, EmptyHistory, LengthMismatch, NonFiniteInput
+from .errors import ConfigError, EmptyHistory, LengthMismatch, NonFiniteInput, _is_int
 from .microlm import RunMetrics, TrainConfig, _atomic_write
 from .variants import ALL_KINDS, DEFAULT_EPS, VariantKind, _ordered_kinds
 from .jacobians import variant_jacobian
@@ -35,15 +38,27 @@ class SweepSpec:
     profile: str = "one_peak"
 
     def __post_init__(self):
-        if not self.gaps:
-            raise ConfigError("gaps must be non-empty")
-        if not np.all(np.isfinite(self.gaps)):
-            raise ConfigError(f"gaps must be finite, got {self.gaps}")
+        if not (isinstance(self.gaps, (tuple, list, np.ndarray)) and len(self.gaps) > 0
+                and all(map(_is_finite_number, self.gaps))):
+            raise ConfigError(
+                f"gaps must be a non-empty sequence of finite numbers, got {self.gaps!r}")
+        if not _is_int(self.t):
+            raise ConfigError(f"t must be an integer, got {self.t!r}")
         if self.t < 2:
             raise ConfigError(f"sweep rows need t >= 2, got {self.t}")
         if self.profile not in PROFILES:
             raise ConfigError(f"profile must be one of {PROFILES}, got {self.profile!r}")
         _ordered_kinds(self.kinds)
+
+
+def _is_finite_number(value) -> bool:
+    # a finite Python or numpy real; bool is an int subclass but not a gap
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 class SweepRecord(NamedTuple):
@@ -69,11 +84,13 @@ def profile_row(profile: str, g: float, t: int) -> np.ndarray:
 def saturation_sweep(spec: SweepSpec, eps: float = DEFAULT_EPS) -> list[SweepRecord]:
     """One record per (g, kind), ordered by g ascending then variant order."""
     kinds = _ordered_kinds(spec.kinds)
+    gaps = sorted(spec.gaps)
+    rows = np.stack([profile_row(spec.profile, g, spec.t) for g in gaps])
+    blocks = [variant_jacobian(rows, kind, eps).entries for kind in kinds]
     records = []
-    for g in sorted(spec.gaps):
-        z = profile_row(spec.profile, g, spec.t)
-        for kind in kinds:
-            jac = variant_jacobian(z, kind, eps).entries
+    for i, g in enumerate(gaps):
+        for kind, block in zip(kinds, blocks):
+            jac = block[i]
             records.append(SweepRecord(
                 g=float(g),
                 kind=kind,

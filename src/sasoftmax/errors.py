@@ -1,7 +1,8 @@
-"""Exception types shared across the library, and the one range check of a
-positive run setting."""
+"""Exception types shared across the library, and the one integer rule and
+the one range check of a positive run setting."""
 
 import math
+import numbers
 
 
 class SaSoftmaxError(Exception):
@@ -71,3 +72,8 @@ def _require_positive(name: str, value: float) -> None:
     # written as `not ok` so that NaN fails too
     if not (0.0 < value < math.inf):
         raise ConfigError(f"{name} must be positive and finite, got {value}")
+
+
+def _is_int(value) -> bool:
+    # a Python or numpy integer; bool is an int subclass but not a count
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

@@ -6,9 +6,14 @@ vector-Jacobian product that the attention backward, and so the trainer,
 runs. variant_weight_vjp is its checked public form. Every dense Jacobian
 (variant_jacobian, gradcheck's analytic side and, through variant_jacobian,
 the saturation sweep) is built from it: row j of a row's Jacobian is the VJP
-of the basis vector e_j. Central differences (_fd_full_rows, gradcheck's other
-side) are the independent oracle here; the entrywise closed form, with its
-derivation, is a test oracle in tests/.
+of the basis vector e_j. variant_jacobian takes one row or an (N, T) stack of
+rows, so the sweep makes one call per kind. Central differences
+(_fd_full_rows, gradcheck's other side) are the independent oracle here; the
+entrywise closed form, with its derivation, is a test oracle in tests/.
+
+Both batched helpers hold the samples innermost in memory. A row sum of
+T >= 8 entries then runs in sequence rather than pairwise, so at T >= 8 the
+low bits of a stacked Jacobian can differ from the same row's on its own.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, _require_positive
+from .errors import ConfigError, _is_int, _require_positive
 from .variants import (
     DEFAULT_EPS,
     ALL_KINDS,
@@ -75,7 +80,7 @@ def _jacobian_full_rows(z: np.ndarray, kind: VariantKind, eps: float) -> np.ndar
     """
     n, t = z.shape
     rows = np.asfortranarray(z, dtype=np.float64)[np.newaxis]
-    mask = np.ones_like(rows, dtype=bool)
+    mask = np.ones(t, dtype=bool)
     # memory order (j, k, sample), viewed as (j, sample, k); basis[j, :, j] = 1
     basis = np.zeros((t, t, n)).transpose(0, 2, 1)
     basis[np.arange(t), :, np.arange(t)] = 1.0
@@ -84,9 +89,16 @@ def _jacobian_full_rows(z: np.ndarray, kind: VariantKind, eps: float) -> np.ndar
 
 def variant_jacobian(z, kind: VariantKind, eps: float = DEFAULT_EPS) -> JacobianBlock:
     """Jacobian of apply_variant with respect to the logit row, built from the
-    trainer's VJP: row j is variant_weight_vjp of the basis vector e_j."""
-    values = _checked_values(z)
-    return JacobianBlock(entries=_jacobian_full_rows(values[np.newaxis, :], kind, eps)[0])
+    trainer's VJP: row j is variant_weight_vjp of the basis vector e_j.
+
+    z is one row (T,), giving entries of shape (T, T), or a stack (N, T) of
+    rows, giving (N, T, T) from one batched call. A stacked row's block equals
+    its own call's bit for bit at T < 8; at T >= 8 the row sums run in another
+    order, so the low bits can differ.
+    """
+    values = _checked_values(z, stack=True)
+    entries = _jacobian_full_rows(np.atleast_2d(values), kind, eps)
+    return JacobianBlock(entries=entries[0] if values.ndim == 1 else entries)
 
 
 def _tie_rows(z: np.ndarray, kind: VariantKind, h: float) -> np.ndarray:
@@ -117,6 +129,7 @@ def _fd_full_rows(z: np.ndarray, kind: VariantKind, eps: float, h: float) -> np.
     n, t = z.shape
     zt = np.asarray(z, dtype=np.float64).T
     out = np.empty((t, t, n))
+    mask = np.ones(t, dtype=bool)
     for k0 in range(0, t, _FD_COLUMNS):
         k1 = min(k0 + _FD_COLUMNS, t)
         cols = np.arange(k0, k1)
@@ -125,7 +138,6 @@ def _fd_full_rows(z: np.ndarray, kind: VariantKind, eps: float, h: float) -> np.
         rows = np.empty((t, k1 - k0, n))
         rows[...] = zt[:, np.newaxis, :]
         stacked = rows.transpose(1, 2, 0)
-        mask = np.ones_like(stacked, dtype=bool)
         diff = out[:, k0:k1]
         rows[at] = zt[cols] + h
         diff[...] = variant_weights(stacked, mask, kind, eps).transpose(2, 0, 1)
@@ -133,11 +145,6 @@ def _fd_full_rows(z: np.ndarray, kind: VariantKind, eps: float, h: float) -> np.
         diff -= variant_weights(stacked, mask, kind, eps).transpose(2, 0, 1)
         diff /= 2.0 * h
     return out.transpose(2, 0, 1)
-
-
-def _is_int(value) -> bool:
-    # a Python or numpy integer; bool is an int subclass but not a count
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def gradcheck(samples: int, t_range: tuple[int, int] = (1, 8),
@@ -182,20 +189,24 @@ def gradcheck(samples: int, t_range: tuple[int, int] = (1, 8),
         for kind in kinds:
             z = rng.uniform(-8.0, 8.0, size=(samples, t))
             ties = _tie_rows(z, kind, h)
-            analytic = _jacobian_full_rows(z, kind, DEFAULT_EPS)
-            fd = _fd_full_rows(z, kind, DEFAULT_EPS, h)
-            abs_err = np.abs(analytic - fd).reshape(samples, -1)
+            # (t*t, samples) views in the blocks' memory order, no copies:
+            # entry (j, k) of sample i is [j*t + k, i]
+            analytic = _jacobian_full_rows(z, kind, DEFAULT_EPS).transpose(1, 2, 0)
+            fd = _fd_full_rows(z, kind, DEFAULT_EPS, h).transpose(1, 2, 0)
+            analytic, fd = analytic.reshape(t * t, samples), fd.reshape(t * t, samples)
+            abs_err = np.subtract(analytic, fd)
+            np.abs(abs_err, out=abs_err)
             # The effective relative error, built in place of its denominator.
             # A tie row reads as all-zero error, so it comes out with entry
             # (0, 0) and passes, since tol_rel > 0.
-            eff_rel = np.maximum(np.abs(analytic), np.abs(fd)).reshape(samples, -1)
+            eff_rel = np.maximum(np.abs(analytic, out=analytic), np.abs(fd, out=fd), out=analytic)
             np.divide(abs_err, eff_rel, out=eff_rel, where=eff_rel > 0)
-            np.copyto(eff_rel, 0.0, where=(abs_err <= ABS_FLOOR) | ties[:, np.newaxis])
-            max_abs = np.where(ties, 0.0, abs_err.max(axis=1))
+            np.copyto(eff_rel, 0.0, where=(abs_err <= ABS_FLOOR) | ties)
+            max_abs = np.where(ties, 0.0, abs_err.max(axis=0))
             # Each row's reductions at once; argmax takes the first maximum,
             # so the worst entry is the lowest flat index among ties.
-            worst = eff_rel.argmax(axis=1)
-            max_rel = eff_rel[np.arange(samples), worst]
+            worst = eff_rel.argmax(axis=0)
+            max_rel = eff_rel[worst, np.arange(samples)]
             # tuple.__new__ is what GradCheckReport._make runs, without its
             # Python frame or length check: the 8-way zip fixes each row's arity
             reports += map(tuple.__new__, repeat(GradCheckReport), zip(

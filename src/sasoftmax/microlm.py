@@ -51,6 +51,7 @@ from .errors import (
     ShapeMismatch,
     TextTooShort,
     UnknownSymbol,
+    _is_int,
     _require_positive,
 )
 from .variants import DEFAULT_EPS, VariantKind
@@ -101,6 +102,9 @@ class TrainConfig:
     def __post_init__(self):
         if not isinstance(self.kind, VariantKind):
             raise ConfigError(f"kind must be a VariantKind, got {self.kind!r}")
+        for name in ("layers", "d_model", "seq_len", "batch", "steps", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("layers", "d_model", "seq_len", "batch"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")

@@ -17,8 +17,9 @@ every output. variant_weights, variant_scaler and jacobians.variant_weight_vjp
 raise ShapeMismatch unless the mask is boolean and broadcasts to the scores'
 shape, and EmptyRow unless every row has a live entry. masked_softmax and
 masked_extrema (whose two halves the attention layer runs on its own causal
-mask) check nothing. The single-row API (apply_variant, and the Jacobians built on it)
-takes one row of live logits and no mask. All arithmetic is 64-bit.
+mask) check nothing. The row API takes live logits and no mask: apply_variant
+one row, and jacobians.variant_jacobian one row or an (N, T) stack of rows.
+All arithmetic is 64-bit.
 
 _weight_vjp, next to the scaler whose gates it reads, is the one analytic
 gradient in the package: the attention backward and every Jacobian in
@@ -72,13 +73,15 @@ def _ordered_kinds(kinds) -> tuple[VariantKind, ...]:
     return tuple(k for k in ALL_KINDS if k in wanted)
 
 
-def _checked_values(z) -> np.ndarray:
-    """One row of live logits as a float64 array, checked for shape and values."""
+def _checked_values(z, stack: bool = False) -> np.ndarray:
+    """One row of live logits, or with stack=True a row or an (N, T) stack of
+    rows, as a float64 array, checked for shape and values."""
     values = np.asarray(z, dtype=np.float64)
-    if values.ndim != 1:
-        raise ShapeMismatch(f"logit row must be 1-D, got shape {values.shape}")
-    if values.shape[0] < 1:
-        raise EmptyRow("logit row must have at least one entry")
+    if not 1 <= values.ndim <= (2 if stack else 1):
+        want = "1-D or (N, T)" if stack else "1-D"
+        raise ShapeMismatch(f"logit rows must be {want}, got shape {values.shape}")
+    if values.size == 0:
+        raise EmptyRow(f"logit rows must have at least one entry, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
         raise NonFiniteInput("logit entries must be finite")
     return values
@@ -149,29 +152,31 @@ def _masked_positions(scores: np.ndarray, mask: np.ndarray):
 
 
 class _Scaler(NamedTuple):
-    """A self-adjusting scaler c = u / d with u = x - lo, and its derivative.
+    """The per-row parts of a self-adjusting scaler c = u / d with u = x - lo,
+    and its derivative; _scaler returns the numerator u beside it.
 
-    ``u`` has the shape of the scores and is 0 on masked entries. Everything
-    else is per row, with a trailing axis of length 1, or a float where it is
-    the same for every row. lo and hi follow at most the row's live min and
-    max, so their gradients are two gates at positions _weight_vjp finds:
+    Everything is per row, with a trailing axis of length 1, or a float where
+    it is the same for every row. lo and hi follow at most the row's live min
+    and max, so their gradients are two gates at positions _weight_vjp finds:
     dlo/dx[argmin] and dhi/dx[argmax]. A gate is None where lo (or d) is
     constant; otherwise d = hi - lo + eps, so dd/dx[argmin] = -dlo/dx[argmin].
     """
 
-    u: np.ndarray
     d: np.ndarray | float
     lo_at_min: np.ndarray | float | None = None
     hi_at_max: np.ndarray | float | None = None
 
 
-def _scaler(scores: np.ndarray, mask: np.ndarray, kind: VariantKind, eps: float) -> _Scaler:
-    """lo, d and their gates for v1-v4; the one place the kinds differ."""
+def _scaler(scores: np.ndarray, mask: np.ndarray, kind: VariantKind,
+            eps: float) -> tuple[np.ndarray, _Scaler]:
+    """(u, scaler) for v1-v4: the numerator u = x - lo, a new array of the
+    scores' shape that is 0 on masked entries, and d with its gates. The one
+    place the kinds differ."""
     if kind is VariantKind.V1:
-        return _Scaler(np.where(mask, scores, 0.0), 1.0)
+        return np.where(mask, scores, 0.0), _Scaler(1.0)
     mn, mx = (a[..., np.newaxis] for a in _masked_values(scores, mask))
     if kind is VariantKind.V2:
-        return _Scaler(np.where(mask, scores - mn, 0.0), 1.0, 1.0)
+        return np.where(mask, scores - mn, 0.0), _Scaler(1.0, 1.0)
     if kind is VariantKind.V3:
         lo, hi, lo_live, hi_live = mn, mx, 1.0, 1.0
     elif kind is VariantKind.V4:
@@ -181,7 +186,7 @@ def _scaler(scores: np.ndarray, mask: np.ndarray, kind: VariantKind, eps: float)
         hi_live = (mx > 0.0).astype(np.float64)
     else:
         raise ConfigError(f"kind must be a VariantKind, got {kind!r}")
-    return _Scaler(np.where(mask, scores - lo, 0.0), hi - lo + eps, lo_live, hi_live)
+    return np.where(mask, scores - lo, 0.0), _Scaler(hi - lo + eps, lo_live, hi_live)
 
 
 def variant_scaler(scores: np.ndarray, mask: np.ndarray, kind: VariantKind,
@@ -194,22 +199,24 @@ def variant_scaler(scores: np.ndarray, mask: np.ndarray, kind: VariantKind,
     _check_batch(scores, mask)
     if kind is VariantKind.BASELINE:
         return np.where(mask, np.ones(np.shape(scores)), 0.0)
-    sc = _scaler(scores, mask, kind, eps)
-    return sc.u / sc.d
+    u, sc = _scaler(scores, mask, kind, eps)
+    u /= sc.d
+    return u
 
 
 def _weights(scores: np.ndarray, mask: np.ndarray, kind: VariantKind,
              eps: float) -> tuple[np.ndarray, _Scaler | None, np.ndarray]:
     """(softmax, scaler, weights): the weights and the two factors their VJP
-    reads. The scaler is None for the baseline, whose weights are the softmax.
+    reads. The scaler is None for the baseline, whose weights are the softmax;
+    otherwise the weights are built in place of the scaler's numerator.
 
     Every scoring path runs this or variant_scaler, so eps is checked here."""
     _require_positive("eps", eps)
     s = masked_softmax(scores, mask)
     if kind is VariantKind.BASELINE:
         return s, None, s
-    sc = _scaler(scores, mask, kind, eps)
-    w = sc.u / sc.d
+    w, sc = _scaler(scores, mask, kind, eps)
+    w /= sc.d
     w *= s
     return s, sc, w
 

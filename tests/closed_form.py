@@ -51,7 +51,8 @@ def closed_form_jacobians(z, kind, eps=DEFAULT_EPS) -> np.ndarray:
     if sc.lo_at_min is not None:
         _sub_at(jac, amin, (sc.lo_at_min * s / sc.d)[..., np.newaxis])
     if sc.hi_at_max is not None:
-        quot = sc.u * s / (sc.d * sc.d)
+        # c_j * s_j / d, with c * s the weights
+        quot = cs / sc.d
         _sub_at(jac, amax, (sc.hi_at_max * quot)[..., np.newaxis])
         _sub_at(jac, amin, (-sc.lo_at_min * quot)[..., np.newaxis])
     return jac

@@ -192,6 +192,18 @@ class TestForward:
             expected = reference_attention(q[b], k[b], v[b], KIND_NAMES[kind])
             np.testing.assert_allclose(out[b], expected, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS[1:])
+    def test_cache_keeps_no_scaler_numerator(self, kind):
+        # the weights are built in place of the scaler's numerator u, so the
+        # scaler keeps only per-row parts, and the weights own their memory
+        rng = np.random.default_rng(6)
+        q, k, v = rng.normal(size=(3, 2, 5, 4))
+        _, cache = attention_forward(AttentionInput(q, k, v, kind=kind))
+        for part in cache.scaler:
+            assert np.ndim(part) == 0 or np.shape(part)[-1] == 1, np.shape(part)
+        assert not np.shares_memory(cache.weights, cache.softmax)
+        assert not np.shares_memory(cache.weights, cache.scores)
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_causality_exact(self, kind):
         rng = np.random.default_rng(5)
@@ -374,9 +386,9 @@ class TestBackward:
                         lambda x: np.swapaxes(np.swapaxes(x, -1, -2).copy(), -1, -2))
         for layout in column_major:
             # every array the backward reads, the forward's factors included:
-            # u has the scores' shape, and d and the gates a trailing axis of
-            # length 1; the VJP finds the argmin/argmax in the moved scores
-            # and scatters there with _sub_at
+            # d and the gates have a trailing axis of length 1; the VJP finds
+            # the argmin/argmax in the moved scores and scatters there with
+            # _sub_at
             scaler = None if cache.scaler is None else cache.scaler._replace(**{
                 f: layout(a) for f, a in cache.scaler._asdict().items()
                 if isinstance(a, np.ndarray)})

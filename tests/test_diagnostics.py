@@ -5,6 +5,7 @@ import pytest
 
 from sasoftmax import (
     ALL_KINDS,
+    DEFAULT_EPS,
     EmptyHistory,
     LengthMismatch,
     NonFiniteInput,
@@ -18,6 +19,7 @@ from sasoftmax import (
     saturation_sweep,
     sweep_to_csv,
 )
+from sasoftmax import diagnostics, jacobians
 
 
 def uniform_jacobian_frobenius(t: int) -> float:
@@ -45,6 +47,29 @@ class TestSweep:
         base, v1 = saturation_sweep(spec)
         assert abs(base.diag_peak - 1.36162696101e-4) <= 1e-12
         assert abs(v1.diag_peak - 1.00122544572) <= 1e-9
+
+    def test_one_jacobian_call_per_kind(self, monkeypatch):
+        # every gap of a kind goes through diagnostics' binding in one stack,
+        # and the records keep their values and their order
+        spec = SweepSpec(gaps=tuple(range(16, 1, -2)), t=4)
+        want = saturation_sweep(spec)
+        calls = []
+
+        def counting(z, kind, eps=DEFAULT_EPS):
+            calls.append((np.shape(z), kind))
+            return jacobians.variant_jacobian(z, kind, eps)
+
+        monkeypatch.setattr(diagnostics, "variant_jacobian", counting)
+        assert saturation_sweep(spec) == want
+        assert calls == [((8, 4), kind) for kind in ALL_KINDS]
+        rows = [profile_row(spec.profile, g, 4) for g in range(2, 17, 2)]
+        assert [r.g for r in want[::len(ALL_KINDS)]] == [float(g) for g in range(2, 17, 2)]
+        for kind in ALL_KINDS:
+            for row, r in zip(rows, (r for r in want if r.kind is kind)):
+                jac = jacobians.variant_jacobian(row, kind).entries
+                assert r.frob_norm == float(np.sqrt(np.sum(jac * jac)))
+                assert r.diag_peak == float(jac[0, 0])
+                assert r.rowgrad_sum == float(np.sum(np.abs(jac[:, 0])))
 
     def test_record_ordering(self):
         spec = SweepSpec(gaps=(4.0, 2.0), t=3,

@@ -41,6 +41,12 @@ BAD_SETTINGS = {
     "train_betas": lambda: TrainConfig(corpus_path="", adam_betas=(1.0, 0.95)),
     "train_odd_rope": lambda: TrainConfig(corpus_path="", d_model=7),
     "train_kind_str": lambda: TrainConfig(corpus_path="", kind="v4"),
+    "train_layers_float": lambda: TrainConfig(corpus_path="", layers=2.5),
+    "train_d_model_str": lambda: TrainConfig(corpus_path="", d_model="32"),
+    "train_seq_len_float": lambda: TrainConfig(corpus_path="", seq_len=64.0),
+    "train_batch_bool": lambda: TrainConfig(corpus_path="", batch=True),
+    "train_steps_float": lambda: TrainConfig(corpus_path="", steps=10.0),
+    "train_seed_str": lambda: TrainConfig(corpus_path="", seed="0"),
     "kind_name": lambda: VariantKind.from_string("v9"),
     "row_kind_str": lambda: apply_variant(ROW, "v4"),
     "attention_kind_str": lambda: attention_forward(
@@ -49,6 +55,17 @@ BAD_SETTINGS = {
     "sweep_gap_nan": lambda: SweepSpec(gaps=(1.0, NAN)),
     "sweep_gap_inf": lambda: SweepSpec(gaps=(-INF,)),
     "sweep_t_1": lambda: SweepSpec(gaps=(1.0,), t=1),
+    "sweep_t_float": lambda: SweepSpec(gaps=(1.0,), t=4.5),
+    "sweep_t_whole_float": lambda: SweepSpec(gaps=(1.0,), t=4.0),
+    "sweep_t_str": lambda: SweepSpec(gaps=(1.0,), t="4"),
+    "sweep_t_bool": lambda: SweepSpec(gaps=(1.0,), t=True),
+    "sweep_gaps_float": lambda: SweepSpec(gaps=1.0),
+    "sweep_gaps_text": lambda: SweepSpec(gaps="2,4"),
+    "sweep_gap_str": lambda: SweepSpec(gaps=("a",)),
+    "sweep_gap_bool": lambda: SweepSpec(gaps=(1.0, True)),
+    "sweep_gap_none": lambda: SweepSpec(gaps=(None,)),
+    "sweep_gap_huge_int": lambda: SweepSpec(gaps=(10 ** 400,)),
+    "sweep_gaps_2d": lambda: SweepSpec(gaps=np.ones((2, 2))),
     "sweep_profile": lambda: SweepSpec(gaps=(1.0,), profile="sideways"),
     "sweep_no_kinds": lambda: SweepSpec(gaps=(1.0,), kinds=()),
     "sweep_kind_str": lambda: SweepSpec(gaps=(2.0,), kinds=("v2",)),
@@ -152,6 +169,16 @@ def test_shared_mask_broadcasts_over_batch():
     whole_rows = variant_weights(scores, np.ones((4, 1), dtype=bool), V4)
     live = variant_weights(scores, np.ones((4, 4), dtype=bool), V4)
     assert whole_rows.tobytes() == live.tobytes()
+
+
+def test_numpy_integers_and_arrays_accepted():
+    # the integer rule takes numpy integers, as the CLI's and checkpoints' ints
+    want = saturation_sweep(SweepSpec(gaps=(2.0, 4.0), t=3))
+    assert saturation_sweep(SweepSpec(gaps=np.array([2.0, 4.0]), t=np.int64(3))) == want
+    assert saturation_sweep(SweepSpec(gaps=[np.int32(2), 4], t=3)) == want
+    cfg = TrainConfig(corpus_path="", layers=np.int64(1), d_model=np.int32(8),
+                      seq_len=np.int64(4), batch=np.uint8(2), steps=np.int64(0), seed=np.int64(3))
+    assert cfg.layers == 1 and cfg.seed == 3
 
 
 def test_finite_negative_and_zero_gaps_accepted():

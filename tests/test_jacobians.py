@@ -9,7 +9,10 @@ import pytest
 from sasoftmax import (
     ALL_KINDS,
     DEFAULT_EPS,
+    EmptyRow,
     GradCheckReport,
+    NonFiniteInput,
+    ShapeMismatch,
     VariantKind,
     apply_variant,
     causal_mask,
@@ -26,7 +29,7 @@ from sasoftmax.jacobians import (
     _jacobian_full_rows,
     _tie_rows,
 )
-from sasoftmax.variants import _weights, masked_extrema, variant_weights
+from sasoftmax.variants import _weight_vjp, _weights, masked_extrema, variant_weights
 
 from closed_form import closed_form_jacobians
 
@@ -260,6 +263,25 @@ class TestStencil:
         gradcheck(samples=10, t_range=(8, 8), kinds=(VariantKind.V4,))
         assert calls == [(8, 10, 8)] * 2, calls
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_one_dimensional_mask_keeps_bits(self, kind):
+        # the stencils pass a (T,) all-live mask; it broadcasts, and the
+        # kernels' results keep the samples-innermost layout and every bit
+        # they have under a mask of the stack's own shape and layout
+        rng = np.random.default_rng(87)
+        for t in range(1, 13):
+            z = stencil_rows(t, rng)
+            # memory order (j, k, sample), viewed as (k, sample, j) rows
+            stacked = np.repeat(z.T[:, np.newaxis, :], 3, axis=1).transpose(1, 2, 0)
+            grad_w = rng.normal(size=(t, 3, len(z))).transpose(1, 2, 0)
+            got = []
+            for mask in (np.ones(t, dtype=bool), np.ones_like(stacked, dtype=bool)):
+                factors = _weights(stacked, mask, kind, DEFAULT_EPS)
+                got.append([variant_weights(stacked, mask, kind),
+                            _weight_vjp(stacked, mask, grad_w, *factors)])
+            for a, b in zip(*got):
+                assert a.strides == b.strides and a.tobytes() == b.tobytes(), t
+
 
 class TestClosedFormOracle:
     """Every analytic Jacobian in the package is built from the VJP; the
@@ -281,6 +303,42 @@ class TestClosedFormOracle:
             assert np.all(np.abs(got - want) <= tol), t
             for row, block, row_tol in zip(z, want, tol):
                 assert np.all(np.abs(variant_jacobian(row, kind).entries - block) <= row_tol), t
+
+
+class TestStackedJacobian:
+    """variant_jacobian on an (N, T) stack: one batched call, each block equal
+    to the row's own call."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_matches_per_row_calls(self, kind):
+        rng = np.random.default_rng(88)
+        for t in range(1, 13):
+            z = stencil_rows(t, rng)
+            got = variant_jacobian(z, kind).entries
+            assert got.shape == (len(z), t, t)
+            want = np.array([variant_jacobian(row, kind).entries for row in z])
+            if t <= 7:
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes(), t
+            else:
+                # Row sums of 8 or more run pairwise on one row and in sequence
+                # on a stack. The difference stays within 1e-15 of the row's
+                # largest term: a weight (the v1 terms g_k c_k s_k) or 1 / d.
+                s, sc, w = _weights(z, np.ones(t, dtype=bool), kind, DEFAULT_EPS)
+                d = np.broadcast_to(1.0 if sc is None else sc.d, (len(z), 1))
+                scale = np.maximum(np.abs(w).max(axis=1), 1.0 / d[:, 0])
+                assert np.all(np.abs(got - want) <= 1e-15 * scale[:, np.newaxis, np.newaxis]), t
+
+    def test_bad_stacks_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            variant_jacobian(np.zeros((2, 3, 4)), VariantKind.V3)
+        with pytest.raises(ShapeMismatch):
+            variant_jacobian(1.0, VariantKind.V3)
+        for empty in (np.zeros((0, 3)), np.zeros((3, 0)), []):
+            with pytest.raises(EmptyRow):
+                variant_jacobian(empty, VariantKind.V3)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NonFiniteInput):
+                variant_jacobian([[1.0, 2.0], [3.0, bad]], VariantKind.V3)
 
 
 class TestGradcheck:
