@@ -172,7 +172,7 @@ def attention_forward(inp: AttentionInput) -> tuple[np.ndarray, AttentionCache]:
     if q.shape != k.shape or q.shape != v.shape:
         raise ShapeMismatch(f"q {q.shape}, k {k.shape}, v {v.shape} must agree")
     for name, arr in (("q", q), ("k", k), ("v", v), ("bias", inp.bias)):
-        if arr is not None and not np.all(np.isfinite(arr)):
+        if arr is not None and not np.isfinite(arr).all():
             raise NonFiniteInput(f"{name} contains NaN or Inf")
 
     if inp.rope:
@@ -182,7 +182,7 @@ def attention_forward(inp: AttentionInput) -> tuple[np.ndarray, AttentionCache]:
         cos = sin = None
         q_rot, k_rot = q, k
     scores = scaled_scores(q_rot, k_rot, inp.bias)
-    if not np.all(np.isfinite(scores)):
+    if not np.isfinite(scores).all():
         raise NonFiniteInput("attention scores contain NaN or Inf")
     mask = causal_mask(q.shape[-2])
     softmax, scaler, weights = _weights(scores, mask, inp.kind, inp.eps)

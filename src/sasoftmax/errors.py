@@ -1,5 +1,5 @@
-"""Exception types shared across the library, and the one integer rule and
-the one range check of a positive run setting."""
+"""Exception types shared across the library, and the one integer rule, the
+one real-number rule and the one range check of a positive run setting."""
 
 import math
 import numbers
@@ -68,7 +68,14 @@ class ConfigError(SaSoftmaxError, ValueError):
     argument, or a variant name or kind. The CLI exits 2 on it."""
 
 
+def _require_real(name: str, value) -> None:
+    # a Python or numpy real; bool is an int subclass but not a setting's value
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+
+
 def _require_positive(name: str, value: float) -> None:
+    _require_real(name, value)
     # written as `not ok` so that NaN fails too
     if not (0.0 < value < math.inf):
         raise ConfigError(f"{name} must be positive and finite, got {value}")

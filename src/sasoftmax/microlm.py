@@ -7,7 +7,11 @@ selected scoring variant. Everything runs in float64 and is deterministic
 given (seed, config, corpus), whatever the CPU count: the train step and eval
 split their work into fixed pieces, run them side by side on the CPUs the
 process may use (the train step only on those its BLAS leaves free), and
-combine the results in a fixed order.
+combine the results in a fixed order. The pieces run on the calling thread
+and on daemon helper threads that are kept across calls (_run_all): each
+helper is started by the first call that needs it, waits idle between calls
+and keeps its malloc arena, so no step pays for a fresh thread or arena. A
+forked child starts with no helper.
 
 Importing this module, and so the sasoftmax package, sets two glibc malloc
 thresholds for the whole process (_keep_freed_heap): freed blocks stay mapped
@@ -53,6 +57,7 @@ from .errors import (
     UnknownSymbol,
     _is_int,
     _require_positive,
+    _require_real,
 )
 from .variants import DEFAULT_EPS, VariantKind
 
@@ -113,12 +118,19 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("lr", "adam_eps", "eps", "rope_base"):
             _require_positive(name, getattr(self, name))
+        _require_real("init_std", self.init_std)
         # written as `not ok` so that NaN fails too
         if not (0.0 <= self.init_std < math.inf):
             raise ConfigError(f"init_std must be >= 0 and finite, got {self.init_std}")
+        if not (isinstance(self.adam_betas, (tuple, list)) and len(self.adam_betas) == 2):
+            raise ConfigError(f"adam_betas must be a pair of reals, got {self.adam_betas!r}")
+        for beta in self.adam_betas:
+            _require_real("adam_betas", beta)
         b1, b2 = self.adam_betas
         if not (0.0 < b1 < 1.0 and 0.0 < b2 < 1.0):
             raise ConfigError(f"adam betas must lie in (0, 1), got {self.adam_betas}")
+        if not isinstance(self.rope, bool):
+            raise ConfigError(f"rope must be a bool, got {self.rope!r}")
         if self.d_model % 2 != 0 and self.rope:
             raise ConfigError("rope requires an even d_model")
 
@@ -209,11 +221,20 @@ def init_params(cfg: TrainConfig, vocab_size: int, rng: np.random.Generator) -> 
 # Elementwise pieces and their backward rules.
 # ---------------------------------------------------------------------------
 
+# The per-micro-batch kernels call the ufunc reductions (np.add.reduce,
+# np.maximum.reduce) straight, and divide a sum by its axis length in place
+# for a mean: np.sum, np.max and np.mean run exactly these calls on an
+# ndarray, so the bits are the same, but their Python wrappers hold the
+# interpreter lock, which the micro-batches' threads queue for.
+
 def _layer_norm(x, gain, bias):
-    mu = x.mean(axis=-1, keepdims=True)
+    n = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    mu /= n
     xhat = x - mu
     y = xhat * xhat
-    var = np.mean(y, axis=-1, keepdims=True)
+    var = np.add.reduce(y, axis=-1, keepdims=True)
+    var /= n
     rstd = 1.0 / np.sqrt(var + LN_EPS)
     xhat *= rstd
     np.multiply(gain, xhat, out=y)
@@ -223,12 +244,16 @@ def _layer_norm(x, gain, bias):
 
 def _layer_norm_backward(dy, gain, ctx):
     xhat, rstd = ctx
+    n = xhat.shape[-1]
     tmp = dy * xhat
-    dgain = np.sum(tmp, axis=(0, 1))
-    dbias = np.sum(dy, axis=(0, 1))
+    dgain = np.add.reduce(tmp, axis=(0, 1))
+    dbias = np.add.reduce(dy, axis=(0, 1))
     dx = dy * gain
-    proj = np.mean(np.multiply(dx, xhat, out=tmp), axis=-1, keepdims=True)
-    dx -= dx.mean(axis=-1, keepdims=True)
+    proj = np.add.reduce(np.multiply(dx, xhat, out=tmp), axis=-1, keepdims=True)
+    proj /= n
+    mean = np.add.reduce(dx, axis=-1, keepdims=True)
+    mean /= n
+    dx -= mean
     dx -= np.multiply(xhat, proj, out=tmp)
     dx *= rstd
     return dx, dgain, dbias
@@ -352,12 +377,12 @@ def _forward(params: dict, inputs: np.ndarray, targets: np.ndarray,
     logits = hf @ params["embed"].T
 
     # logits becomes the shifted logits, then their exp, then the probabilities
-    logits -= logits.max(axis=-1, keepdims=True)
+    logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
     rows = np.arange(b)[:, np.newaxis]
     cols = np.arange(t)[np.newaxis, :]
     picked = logits[rows, cols, targets]
     np.exp(logits, out=logits)
-    norm = logits.sum(axis=-1, keepdims=True)
+    norm = np.add.reduce(logits, axis=-1, keepdims=True)
     # -log_softmax at the targets, from the gathered entries only
     nll = np.log(norm)[..., 0] - picked
     if not keep:
@@ -493,7 +518,7 @@ def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
     total = 0.0
     for name in grads:
         g = grads[name]
-        total += float(np.sum(g * g))
+        total += float(np.add.reduce(g * g, axis=None))
     return float(np.sqrt(total))
 
 
@@ -520,7 +545,7 @@ def adam_step(params: dict, grads: dict, state: AdamState,
               cfg: TrainConfig) -> tuple[dict, AdamState]:
     """One bias-corrected Adam update; no weight decay, no clipping."""
     for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NonFiniteGradient(f"gradient for {name!r} is not finite at step {state.step + 1}")
     b1, b2 = cfg.adam_betas
     state.step += 1
@@ -715,43 +740,151 @@ def _keep_freed_heap() -> None:
 _keep_freed_heap()
 
 
+class _Inbox:
+    """Where one helper waits for its next job. There is never more than one:
+    a helper is lent again only once it is idle, after taking its job. The
+    lock is held while the inbox is empty. (queue.SimpleQueue would do, but
+    importing queue added ~0.1 MB to every process's RSS.)"""
+
+    def __init__(self) -> None:
+        self.job = None
+        self.filled = threading.Lock()
+        self.filled.acquire()
+
+    def put(self, job) -> None:
+        self.job = job
+        self.filled.release()
+
+    def take(self):
+        self.filled.acquire()
+        job, self.job = self.job, None
+        return job
+
+
+class _Helpers:
+    """The daemon threads _run_all lends its items to, kept across calls.
+
+    Each helper waits on its own inbox for one call's work at a time, and is
+    idle again before that call can see it finish. A helper is started only
+    when a call asks for more than have been started, so there are never
+    more than the largest workers - 1 asked for. A kept thread keeps its
+    malloc arena too, so the process's arena count stays fixed.
+    """
+
+    def __init__(self) -> None:
+        self.forget()
+
+    def forget(self) -> None:
+        """No helper at all: at creation, and in a forked child, which has
+        no thread but the one that forked."""
+        self.lock = threading.Lock()
+        self.idle: list[_Inbox] = []
+        self.started = 0
+
+    def borrow(self, n: int) -> list[_Inbox]:
+        """The inboxes of up to n idle helpers. While fewer than n are idle
+        and fewer than n have been started, a new helper is started first."""
+        with self.lock:
+            while len(self.idle) < n and self.started < n:
+                inbox = _Inbox()
+                threading.Thread(target=_serve, args=(inbox,), daemon=True,
+                                 name=f"sasoftmax-helper-{self.started + 1}").start()
+                self.started += 1
+                self.idle.append(inbox)
+            lent = self.idle[max(0, len(self.idle) - n):]
+            del self.idle[len(self.idle) - len(lent):]
+        return lent
+
+    def give_back(self, inbox: _Inbox) -> None:
+        with self.lock:
+            self.idle.append(inbox)
+
+
+def _serve(inbox: _Inbox) -> None:
+    """A helper's life: run each job posted to its inbox. The job is called
+    straight from take(), so no reference to the last call's items and
+    results outlives it."""
+    while True:
+        inbox.take()()
+
+
+_helpers = _Helpers()
+if hasattr(os, "register_at_fork"):  # not on Windows
+    os.register_at_fork(after_in_child=_helpers.forget)
+
+
 def _run_all(fn, items, workers: int) -> list:
     """[fn(item) for item in items], the items run side by side.
 
-    The calling thread runs items itself, beside workers - 1 started threads
-    (fewer if there are fewer items), each thread taking the next item in
-    order. Once an item raises, items not yet started are dropped; every
-    thread is joined, and then the error of the first failing item in order
-    is raised as it is. No thread outlives the call.
+    The calling thread runs items itself, beside up to workers - 1 idle
+    helper threads (fewer if there are fewer items), each thread taking the
+    next item in order. No thread takes a second item before every helper
+    lent to the call has taken its first: a thread that ran two of the first
+    items would hold both results at once, and its malloc arena would keep
+    room for both from then on. Helpers are daemon threads kept across calls
+    and started at the first call that needs them (_Helpers); with no helper
+    free, as in a call made from inside an item or beside another thread's
+    call, the caller runs every item alone. The call waits only for the
+    helpers that took one of its items. Once an item raises, items not yet
+    started are dropped, and when every taken item is done the error of the
+    first failing item in order is raised as it is.
     """
     items = list(items)
     results = [None] * len(items)
     errors = {}
     lock = threading.Lock()
-    order = iter(range(len(items)))
+    changed = threading.Condition(lock)
+    helpers = _helpers
+    inboxes = helpers.borrow(min(workers, len(items)) - 1)
+    taken = 0  # items started so far
+    coming = len(inboxes)  # lent helpers that have not woken yet
+    busy = 0  # helpers that took an item and are not idle again
 
-    def work() -> None:
+    def work(helper: bool = False) -> bool:
+        """Run the next items until none is left or one has failed; whether
+        any item ran. A helper counts itself busy from its first item."""
+        nonlocal taken, coming, busy
+        took = False
         while True:
             with lock:
-                i = None if errors else next(order, None)
-            if i is None:
-                return
+                if took:
+                    changed.wait_for(lambda: errors or not coming)
+                elif helper:
+                    # woken, whether or not an item is left for it
+                    coming -= 1
+                    changed.notify_all()
+                if errors or taken == len(items):
+                    return took
+                i = taken
+                taken += 1
+                if helper and not took:
+                    busy += 1
+            took = True
             try:
                 results[i] = fn(items[i])
             except BaseException as exc:
                 with lock:
                     errors[i] = exc
-                return
+                    changed.notify_all()
+                return took
 
-    threads = []
+    def lend(inbox: _Inbox) -> None:
+        nonlocal busy
+        took = work(helper=True)
+        helpers.give_back(inbox)
+        if took:
+            with lock:
+                busy -= 1
+                changed.notify_all()
+
+    for inbox in inboxes:
+        inbox.put(functools.partial(lend, inbox))
     try:
-        for _ in range(min(workers, len(items)) - 1):
-            threads.append(threading.Thread(target=work))
-            threads[-1].start()
         work()
     finally:
-        for thread in threads:
-            thread.join()
+        with lock:
+            taken = len(items)  # should the caller be interrupted, start no more
+            changed.wait_for(lambda: not busy)
     if errors:
         raise errors[min(errors)]
     return results

@@ -19,7 +19,10 @@ shape, and EmptyRow unless every row has a live entry. masked_softmax and
 masked_extrema (whose two halves the attention layer runs on its own causal
 mask) check nothing. The row API takes live logits and no mask: apply_variant
 one row, and jacobians.variant_jacobian one row or an (N, T) stack of rows.
-All arithmetic is 64-bit.
+All arithmetic is 64-bit. The kernels call the ufunc reductions
+(np.add.reduce, np.maximum.reduce, np.minimum.reduce) straight: np.sum,
+np.max and np.min run the same calls on an ndarray, behind Python wrappers
+that hold the interpreter lock the train step's threads share.
 
 _weight_vjp, next to the scaler whose gates it reads, is the one analytic
 gradient in the package: the attention backward and every Jacobian in
@@ -123,9 +126,9 @@ def masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
     least one live entry; a row without one comes out NaN, unchecked.
     """
     e = np.where(mask, scores, -np.inf)
-    e -= np.max(e, axis=-1, keepdims=True)
+    e -= np.maximum.reduce(e, axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= np.sum(e, axis=-1, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 
@@ -141,8 +144,8 @@ def masked_extrema(scores: np.ndarray, mask: np.ndarray):
 
 def _masked_values(scores: np.ndarray, mask: np.ndarray):
     """(min, max) over the live entries of each row."""
-    return (np.min(np.where(mask, scores, np.inf), axis=-1),
-            np.max(np.where(mask, scores, -np.inf), axis=-1))
+    return (np.minimum.reduce(np.where(mask, scores, np.inf), axis=-1),
+            np.maximum.reduce(np.where(mask, scores, -np.inf), axis=-1))
 
 
 def _masked_positions(scores: np.ndarray, mask: np.ndarray):
@@ -249,14 +252,14 @@ def _weight_vjp(scores: np.ndarray, mask: np.ndarray, grad_w: np.ndarray,
     dz = np.where(mask, grad_w, 0.0)
     if sc is None:
         dz *= s
-        dz -= s * np.sum(dz, axis=-1, keepdims=True)
+        dz -= s * np.add.reduce(dz, axis=-1, keepdims=True)
     else:
         # Softmax part s_k * (g_k c_k - sum_j g_j w_j), then the scaler's
         # identity term, its lo gate and d's two gates (hi, -lo).
         gs = dz * s
-        gs_sum = np.sum(gs, axis=-1, keepdims=True)
+        gs_sum = np.add.reduce(gs, axis=-1, keepdims=True)
         dz *= w
-        gw_sum = np.sum(dz, axis=-1, keepdims=True)
+        gw_sum = np.add.reduce(dz, axis=-1, keepdims=True)
         dz -= s * gw_sum
         gs /= sc.d
         dz += gs

@@ -47,6 +47,13 @@ BAD_SETTINGS = {
     "train_batch_bool": lambda: TrainConfig(corpus_path="", batch=True),
     "train_steps_float": lambda: TrainConfig(corpus_path="", steps=10.0),
     "train_seed_str": lambda: TrainConfig(corpus_path="", seed="0"),
+    "train_lr_str": lambda: TrainConfig(corpus_path="", lr="0.1"),
+    "train_lr_bool": lambda: TrainConfig(corpus_path="", lr=True),
+    "train_init_std_str": lambda: TrainConfig(corpus_path="", init_std="0"),
+    "train_betas_float": lambda: TrainConfig(corpus_path="", adam_betas=0.9),
+    "train_betas_triple": lambda: TrainConfig(corpus_path="", adam_betas=(0.9, 0.95, 0.99)),
+    "train_betas_str": lambda: TrainConfig(corpus_path="", adam_betas=("0.9", 0.95)),
+    "train_rope_str": lambda: TrainConfig(corpus_path="", rope="no"),
     "kind_name": lambda: VariantKind.from_string("v9"),
     "row_kind_str": lambda: apply_variant(ROW, "v4"),
     "attention_kind_str": lambda: attention_forward(
@@ -73,6 +80,7 @@ BAD_SETTINGS = {
     "sweep_eps_0": lambda: saturation_sweep(SPEC, eps=0.0),
     "sweep_eps_nan": lambda: saturation_sweep(SPEC, eps=NAN),
     "sweep_eps_inf": lambda: saturation_sweep(SPEC, eps=INF),
+    "sweep_eps_str": lambda: saturation_sweep(SPEC, eps="1e-10"),
     "variant_eps_nan": lambda: apply_variant(ROW, VariantKind.V3, eps=NAN),
     "fd_h_nan": lambda: _fd_full_rows(np.array([ROW]), V3, DEFAULT_EPS, NAN),
     "fd_eps_inf": lambda: _fd_full_rows(np.array([ROW]), V3, INF, FD_STEP),
@@ -179,6 +187,10 @@ def test_numpy_integers_and_arrays_accepted():
     cfg = TrainConfig(corpus_path="", layers=np.int64(1), d_model=np.int32(8),
                       seq_len=np.int64(4), batch=np.uint8(2), steps=np.int64(0), seed=np.int64(3))
     assert cfg.layers == 1 and cfg.seed == 3
+    # the real-number rule takes ints and numpy floats, as JSON and numpy give them
+    cfg = TrainConfig(corpus_path="", lr=np.float64(0.1), init_std=0, rope_base=10000,
+                      adam_betas=[np.float32(0.5), 0.95], rope=False)
+    assert cfg.lr == 0.1 and cfg.adam_betas[0] == 0.5
 
 
 def test_finite_negative_and_zero_gaps_accepted():

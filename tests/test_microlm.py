@@ -10,6 +10,7 @@ import platform
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import types
 from pathlib import Path
@@ -76,6 +77,63 @@ def array_hashes(obj, path="") -> dict[str, bytes]:
     for key, value in items:
         out.update(array_hashes(value, f"{path}/{key}"))
     return out
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """A helper pool of the test's own for _run_all, with no helper started
+    yet, so that the test can count the helpers its calls start. They stay
+    idle in the process after the test."""
+    pool = microlm._Helpers()
+    monkeypatch.setattr(microlm, "_helpers", pool)
+    return pool
+
+
+def record_threads(monkeypatch, *names) -> list[int]:
+    """The ident of the thread of every call of the microlm functions names
+    from here on, in call order."""
+    ran = []
+    for name in names:
+        def recorded(*args, _fn=getattr(microlm, name), **kwargs):
+            ran.append(threading.get_ident())
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(microlm, name, recorded)
+    return ran
+
+
+def helper_idents() -> set[int]:
+    return {t.ident for t in threading.enumerate() if t.name.startswith("sasoftmax-helper-")}
+
+
+def all_idle(pool, timeout: float = 30.0) -> bool:
+    """Whether every helper of pool is idle within timeout seconds. A helper
+    posted a call's work after the call's last item was taken may still be
+    on its way back when the call returns."""
+    deadline = time.monotonic() + timeout
+    while len(pool.idle) < pool.started and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return len(pool.idle) == pool.started
+
+
+def run_bounded(fn, timeout: float = 60.0):
+    """fn() on a daemon thread, failing the test if it is still running
+    after timeout seconds (a deadlock) and raising what fn raised."""
+    out = {}
+
+    def target():
+        try:
+            out["result"] = fn()
+        except BaseException as exc:
+            out["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "the call did not return: deadlock"
+    if "error" in out:
+        raise out["error"]
+    return out["result"]
 
 
 def tiny_config(corpus, **overrides):
@@ -351,30 +409,42 @@ class TestBackward:
 
 
 class TestMicroBatches:
-    def test_train_bit_identical_at_any_worker_count(self, corpus_path, monkeypatch):
-        # batch 7 in micro-batches of 2: at 4 workers each of the four gets a
-        # thread, and a short switch interval interleaves the threads finely
+    def test_train_bit_identical_at_any_worker_count(self, corpus_path, monkeypatch, helpers):
+        # batch 7 in micro-batches of 2: at 4 workers each of the four may
+        # get a thread, and a short switch interval interleaves the threads
+        # finely. Each run's 12 calls (forward and backward of 6 steps) start
+        # helpers only while fewer than workers - 1 exist, and only the
+        # calling thread and helpers run micro-batches.
         monkeypatch.setattr(microlm, "_TRAIN_SHARD_WINDOWS", 2)
         cfg = tiny_config(corpus_path, kind=VariantKind.V4, layers=2, batch=7, steps=6,
                           init_std=0.5)
+        ran = record_threads(monkeypatch, "_forward", "_backward")
+        main = threading.get_ident()
         runs = {}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for workers in (1, 2, 4):
                 monkeypatch.setattr(microlm, "_train_workers", lambda: workers)
-                before = threading.active_count()
+                before, started = threading.active_count(), helpers.started
+                ran.clear()
                 res = train(cfg)
-                assert threading.active_count() == before
+                assert helpers.started <= workers - 1
+                assert threading.active_count() - before == helpers.started - started
+                assert len(ran) == 2 * 4 * cfg.steps
+                assert set(ran) - {main} <= helper_idents()
+                assert len(set(ran) - {main}) <= workers - 1
                 runs[workers] = metrics_to_csv(res.metrics), array_hashes(res.params)
         finally:
             sys.setswitchinterval(interval)
         assert runs[2] == runs[1]
         assert runs[4] == runs[1]
 
-    def test_micro_batch_error_raised_and_no_thread_left(self, corpus_path, monkeypatch):
+    def test_micro_batch_error_raised_and_no_thread_left(self, corpus_path, monkeypatch,
+                                                        helpers):
         # the NaN sits in the embedding row of an id that only the second
-        # micro-batch reads, so the first one succeeds
+        # micro-batch reads, so the first one succeeds; no thread is left
+        # running an item, and the one helper is idle again
         monkeypatch.setattr(microlm, "_TRAIN_SHARD_WINDOWS", 2)
         monkeypatch.setattr(microlm, "_train_workers", lambda: 2)
         _, vocab = load_corpus(corpus_path)
@@ -382,10 +452,12 @@ class TestMicroBatches:
         params = init_params(cfg, vocab.size, np.random.default_rng(0))
         inputs = np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 2, 1], [1, 1, 0, 0]])
         params["embed"][2, 0] = np.nan
-        before = threading.active_count()
+        ran = record_threads(monkeypatch, "_forward")
         with pytest.raises(NonFiniteInput, match="contains NaN"):
             forward_loss(params, inputs, inputs, cfg)
-        assert threading.active_count() == before
+        assert len(ran) == 2
+        assert set(ran) - {threading.get_ident()} <= helper_idents()
+        assert helpers.started == 1 and all_idle(helpers)
 
     def test_one_micro_batch_keeps_one_backward(self, corpus_path):
         # a batch that fits in one micro-batch gets the bits of one backward
@@ -446,19 +518,24 @@ class TestWorkers:
         monkeypatch.setattr(microlm, "_TRAIN_SHARD_WINDOWS", 2)
         monkeypatch.setattr(microlm, "_workers", lambda: 2)
         monkeypatch.setattr(microlm, "_openblas_thread_getters", lambda: (lambda: 2,))
-        started = []
-
-        class CountedThread(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(threading, "Thread", CountedThread)
+        main = threading.get_ident()
+        ran = record_threads(monkeypatch, "_forward", "_backward")
         backward(forward_loss(params, inputs, targets, cfg)[1])
-        assert started == []
+        assert ran == [main] * 4
+        # eval's first chunk waits until the second has started, which only
+        # a helper can have taken
+        meet = threading.Barrier(2, timeout=60)
+
+        def meeting(*args, _fn=microlm._forward, **kwargs):
+            meet.wait()
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(microlm, "_forward", meeting)
+        ran.clear()
         windows = 2 * _EVAL_CHUNK_POSITIONS // cfg.seq_len
         evaluate_ppl(params, cfg, vocab, vocab.decode(tokens[: windows * cfg.seq_len + 1]))
-        assert len(started) == 1
+        assert len(ran) == 2 and main in ran
+        assert len(set(ran)) == 2 and set(ran) - {main} <= helper_idents()
 
     def test_asks_the_loaded_openblas(self):
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
@@ -499,30 +576,164 @@ class TestRunAll:
         assert _run_all(lambda i: i, [], workers) == []
 
     @pytest.mark.parametrize("workers", (1, 2))
-    def test_first_failure_in_order_wins(self, workers):
+    def test_first_failure_in_order_wins(self, workers, helpers):
         # items are taken in order, so 2 starts before 4 fails; once either
-        # fails, 5 is never started
+        # fails, 5 is never started. Only the caller and at most workers - 1
+        # helpers ran items, and every helper is idle again.
         ran = []
+        threads = []
 
         def fn(i):
             ran.append(i)
+            threads.append(threading.get_ident())
             if i in (2, 4):
                 raise ValueError(str(i))
             return i
 
-        before = threading.active_count()
         with pytest.raises(ValueError, match="^2$"):
             _run_all(fn, range(6), workers)
-        assert threading.active_count() == before
         assert {0, 1, 2} <= set(ran) and 5 not in ran
+        assert helpers.started == workers - 1 and all_idle(helpers)
+        assert set(threads) - {threading.get_ident()} <= helper_idents()
+        assert len(set(threads)) <= workers
+
+    @pytest.mark.parametrize("workers", (2, 4))
+    def test_every_lent_helper_takes_one_of_the_first_items(self, workers, helpers):
+        # the caller could run the first items alone before a helper wakes;
+        # it waits instead, so each of the first items runs on its own thread
+        for _ in range(20):
+            got = _run_all(lambda i: threading.get_ident(), range(3 * workers), workers)
+            assert len(set(got[:workers])) == workers
+        assert helpers.started == workers - 1 and all_idle(helpers)
+
+    def test_nested_call_runs_alone(self, helpers):
+        # an item's own _run_all finds the one helper busy (or lent to the
+        # outer call) and runs its items on the item's thread
+        def outer(i):
+            inner = threading.get_ident()
+            return _run_all(lambda j: (i, j, threading.get_ident() == inner), range(3), 2)
+
+        got = run_bounded(lambda: _run_all(outer, range(4), 2))
+        assert [[(i, j) for i, j, _ in row] for row in got] == \
+            [[(i, j) for j in range(3)] for i in range(4)]
+        assert helpers.started == 1 and all_idle(helpers)
+
+    def test_callers_on_several_threads(self, helpers):
+        # four callers, more than helpers or cores, with the interpreter
+        # switching threads every microsecond: every call gets its own
+        # results in order, no more than workers - 1 helpers start, and
+        # every helper is handed back (a lost update to the idle list would
+        # leave one out)
+        results = [None] * 4
+
+        def caller(c):
+            results[c] = [_run_all(lambda i: (c, k, i * i), range(7), 3) for k in range(40)]
+
+        threads = [threading.Thread(target=caller, args=(c,), daemon=True) for c in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+                assert not thread.is_alive(), "a caller did not return: deadlock"
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [[[(c, k, i * i) for i in range(7)] for k in range(40)]
+                           for c in range(4)]
+        assert helpers.started <= 2 and all_idle(helpers)
+
+    def test_helper_kept_after_a_failure(self, helpers):
+        # both items wait for each other, so each call runs one on its
+        # caller and one on the helper: the helper that ran a raising item
+        # serves the next calls
+        def meeting(meet, fail):
+            def fn(i):
+                meet.wait()
+                if fail and i == 1:
+                    raise ValueError("item 1")
+                return threading.get_ident() in helper_idents()
+            return fn
+
+        with pytest.raises(ValueError, match="item 1"):
+            run_bounded(lambda: _run_all(meeting(threading.Barrier(2, timeout=30), True),
+                                         range(2), 2))
+        helper = helper_idents()
+        for _ in range(3):
+            got = run_bounded(lambda: _run_all(
+                meeting(threading.Barrier(2, timeout=30), False), range(2), 2))
+            assert sorted(got) == [False, True]
+        assert helpers.started == 1 and helper_idents() == helper and all_idle(helpers)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    def test_forked_child_starts_its_own_helper(self):
+        proc = subprocess.run([sys.executable, "-c", FORKED_CHILD], env=package_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"parent_helpers": 1, "child_status": 0}
+
+    def test_interpreter_exits_with_helpers_idle(self):
+        proc = subprocess.run([sys.executable, "-c", IDLE_AT_EXIT], env=package_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "3 idle\n" and proc.stderr == ""
+
+
+def package_env() -> dict:
+    """The environment with this tree's sasoftmax first on the import path."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(microlm.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+
+
+# A 2-worker call whose items wait for each other, so a helper runs one, in
+# a process and then in a child it forks: the child has no thread but its
+# own, so it must start a helper of its own. Prints the parent's helper count
+# and the child's exit status (1 if its call failed).
+FORKED_CHILD = r"""
+import json, os, threading, traceback
+from sasoftmax import microlm
+
+def meeting_call():
+    meet = threading.Barrier(2, timeout=20)
+    def fn(i):
+        meet.wait()
+        return threading.get_ident()
+    return len(set(microlm._run_all(fn, range(2), 2))) == 2
+
+assert meeting_call()
+pid = os.fork()
+if pid == 0:
+    ok = False
+    try:
+        ok = meeting_call() and microlm._helpers.started == 1
+    except BaseException:
+        traceback.print_exc()
+    os._exit(0 if ok else 1)
+_, status = os.waitpid(pid, 0)
+print(json.dumps({"parent_helpers": microlm._helpers.started,
+                  "child_status": os.waitstatus_to_exitcode(status)}))
+"""
+
+# Three helpers, all idle once the call has returned, at interpreter exit.
+IDLE_AT_EXIT = r"""
+import threading, time
+from sasoftmax import microlm
+
+meet = threading.Barrier(4, timeout=20)
+microlm._run_all(lambda i: meet.wait(), range(4), 4)
+while len(microlm._helpers.idle) < 3:
+    time.sleep(0.001)
+print(len(microlm._helpers.idle), "idle")
+"""
 
 
 # Default-config v4 train steps as perfbench's train_mix runs them, each
 # step's cache dropped when it returns; prints the median minor page faults of
-# a step, the threads one step started, and whether that step's loss and
+# a step, the helper threads the steps started, and whether a step's loss and
 # gradients keep their bits at one worker.
 KEPT_HEAP_STEPS = r"""
-import json, resource, statistics, threading
+import json, resource, statistics
 import numpy as np
 from sasoftmax import VariantKind, microlm
 from sasoftmax.cli import bundled_corpus_path
@@ -549,14 +760,6 @@ for _ in range(20):
     step()
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
-started = []
-
-class CountedThread(threading.Thread):
-    def start(self):
-        started.append(self)
-        super().start()
-
-threading.Thread = CountedThread
 inputs, targets = microlm.sample_windows(tokens, cfg.seq_len, cfg.batch, rng)
 
 def loss_and_grads():
@@ -565,7 +768,7 @@ def loss_and_grads():
     return [np.float64(loss).tobytes()] + [grads[name].tobytes() for name in sorted(grads)]
 
 threaded = loss_and_grads()
-threads = len(started)
+threads = microlm._helpers.started
 microlm._train_workers = lambda: 1
 print(json.dumps({"median_faults": statistics.median(faults), "threads": threads,
                   "same_bits": loss_and_grads() == threaded}))
@@ -578,10 +781,8 @@ class TestKeptHeap:
         # one BLAS thread, as perfbench runs, so _train_workers() gives the
         # step's two micro-batches a thread each on two CPUs; without the
         # kept heap a step takes thousands of minor faults
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-               "MKL_NUM_THREADS": "1",
-               "PYTHONPATH": os.pathsep.join(filter(None, [
-                   str(Path(microlm.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+        env = {**package_env(), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1"}
         proc = subprocess.run([sys.executable, "-c", KEPT_HEAP_STEPS], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
@@ -613,8 +814,9 @@ class TestKeptHeap:
 # A process's first GELU, which imports scipy.special, run on two threads at
 # once: in eval's chunks ("eval") or in the train step's micro-batches
 # ("train"), with the thread switch interval at 1 us; prints whether scipy was
-# unloaded before and loaded after, the threads started, and whether the
-# result has the same bits when run again at one worker.
+# unloaded before and loaded after, the threads that ran a piece, and whether
+# the result has the same bits when run again at one worker. The pieces wait
+# for each other before their forward, so both threads run their first GELU.
 FIRST_GELU = r"""
 import json, sys, threading
 import numpy as np
@@ -636,21 +838,26 @@ def run():
     grads = microlm.backward(cache)
     return [np.float64(loss).tobytes()] + [grads[name].tobytes() for name in sorted(grads)]
 
-started = []
+ran = []
+meet = threading.Barrier(2, timeout=60)
+forward = microlm._forward
 
-class CountedThread(threading.Thread):
-    def start(self):
-        started.append(self)
-        super().start()
+def meeting(*args, **kwargs):
+    # the first piece blocks its thread until a second thread starts one
+    ran.append(threading.get_ident())
+    if len(ran) <= 2:
+        meet.wait()
+    return forward(*args, **kwargs)
 
-threading.Thread = CountedThread
+microlm._forward = meeting
 microlm._workers = microlm._train_workers = lambda: 2
 unloaded = "scipy.special" not in sys.modules
 sys.setswitchinterval(1e-6)
 threaded = run()
 sys.setswitchinterval(0.005)
 loaded = "scipy.special" in sys.modules
-threads = len(started)
+threads = len(set(ran))
+microlm._forward = forward
 microlm._workers = microlm._train_workers = lambda: 1
 print(json.dumps({"unloaded_before": unloaded, "loaded_after": loaded, "threads": threads,
                   "same_bits": run() == threaded}))
@@ -660,14 +867,12 @@ print(json.dumps({"unloaded_before": unloaded, "loaded_after": loaded, "threads"
 class TestFirstGelu:
     @pytest.mark.parametrize("entry", ["eval", "train"])
     def test_first_gelu_on_two_threads(self, entry):
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
-            str(Path(microlm.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", FIRST_GELU, entry], env=env,
+        proc = subprocess.run([sys.executable, "-c", FIRST_GELU, entry], env=package_env(),
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         out = json.loads(proc.stdout)
-        assert out.pop("threads") > 0
-        assert out == {"unloaded_before": True, "loaded_after": True, "same_bits": True}, out
+        assert out == {"unloaded_before": True, "loaded_after": True, "threads": 2,
+                       "same_bits": True}, out
 
 
 def einsum_backward(cache, params, cfg):
@@ -920,9 +1125,10 @@ class TestEvaluate:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_chunk_error_raised_and_no_thread_left(self, corpus_path, monkeypatch):
+    def test_chunk_error_raised_and_no_thread_left(self, corpus_path, monkeypatch, helpers):
         # the NaN sits in the embedding of a byte first read in the fourth
-        # chunk or later, so the chunks before the failing one succeed
+        # chunk or later, so the chunks before the failing one succeed; no
+        # thread is left running a chunk, and the one helper is idle again
         tokens, vocab = load_corpus(corpus_path)
         cfg = tiny_config(corpus_path, layers=1, d_model=8, seq_len=16)
         params = init_params(cfg, vocab.size, np.random.default_rng(4))
@@ -931,10 +1137,12 @@ class TestEvaluate:
         late = next(i for i in np.unique(ids) if np.argmax(ids == i) >= 3 * chunk * 16)
         params["embed"][late, 0] = np.nan
         monkeypatch.setattr(microlm, "_workers", lambda: 2)
-        before = threading.active_count()
+        ran = record_threads(monkeypatch, "_forward")
         with pytest.raises(NonFiniteInput, match="contains NaN"):
             evaluate_ppl(params, cfg, vocab, vocab.decode(ids))
-        assert threading.active_count() == before
+        assert 4 <= len(ran) <= 8
+        assert set(ran) - {threading.get_ident()} <= helper_idents()
+        assert helpers.started == 1 and all_idle(helpers)
 
     def test_peak_memory_flat_in_text_length(self, corpus_path, monkeypatch):
         # Two workers keep two chunks alive, whose temporaries peak together
