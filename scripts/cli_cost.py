@@ -13,15 +13,12 @@ around the child process, so it includes interpreter start-up and imports.
 Peak RSS is the child's ru_maxrss as os.wait4 returns it: the
 RUSAGE_CHILDREN figure of that one process.
 
-Before the first run each tree's src is byte-compiled (compileall), so every
-tree imports from __pycache__: without it, a run pays the compile in wall time
-and peak RSS (importing the gradient oracles peaked at 30.1 MB against
-27.8 MB with bytecode). Each round runs every command once per tree, the
-trees in the given order in even rounds and reversed in odd ones. Prints one
-JSON object: the machine block, and per command and tree the median and every
-run's wall seconds and peak MB, and whether every run of the command wrote
-the same bytes. Exits 1 if a command fails or its output bytes differ between
-any two runs.
+Before the first run each tree's src is byte-compiled (compile_trees). Each
+round runs every command once per tree, the trees in the given order in even
+rounds and reversed in odd ones. Prints one JSON object: the machine block,
+and per command and tree the median and every run's wall seconds and peak MB,
+and whether every run of the command wrote the same bytes. Exits 1 if a
+command fails or its output bytes differ between any two runs.
 """
 
 from __future__ import annotations
@@ -52,6 +49,17 @@ COMMANDS = {
     "eval": ["eval", "--checkpoint", "../checkpoint.bin", "--text", "../corpus.txt"],
     "dump": ["dump", "--checkpoint", "../checkpoint.bin", "--prompt", PROMPT],
 }
+
+
+def compile_trees(trees: list[str]) -> None:
+    """Byte-compile each tree's src (compileall), so every tree imports from
+    __pycache__: without it, a run pays the compile in wall time and peak RSS
+    (importing the gradient oracles peaked at 30.1 MB against 27.8 MB with
+    bytecode)."""
+    for tree in trees:
+        src = Path(tree).resolve() / "src"
+        if not src.is_dir() or not compileall.compile_dir(src, quiet=1):
+            raise SystemExit(f"error: {tree}/src is missing or does not byte-compile")
 
 
 def run_cli(tree: str, argv: list[str], cwd: Path) -> tuple[float, float]:
@@ -85,9 +93,7 @@ def main() -> int:
     parser.add_argument("--rounds", type=int, default=5)
     args = parser.parse_args()
     trees = args.trees.split(",")
-    for tree in trees:
-        if not compileall.compile_dir(Path(tree).resolve() / "src", quiet=1):
-            raise SystemExit(f"error: {tree}/src does not byte-compile")
+    compile_trees(trees)
 
     runs = {name: {tree: [] for tree in trees} for name in COMMANDS}
     digests = {name: set() for name in COMMANDS}

@@ -26,20 +26,18 @@ round-robin as perfbench's train_mix workload does, one warm-up round, then
 microlm._TRAIN_SHARD_WINDOWS set to windows. A step is sample_windows,
 forward_loss, backward, global_grad_norm and adam_step.
 
-Before the first run each tree's src is byte-compiled (compileall), so every
-tree imports from __pycache__. Rounds alternate the order of the runs. Prints
-one JSON object: the machine block, and per (tree, workers, windows) the
-median ms and median minor page faults (ru_minflt) per call (eval) or per step
-of each kind (--train) over all its processes, with each process's own
-figures. Exits 1 if the results' bits differ where they should not: the
-perplexity between any two runs, and for --train every step's loss between
-runs of the same tree and windows.
+Before the first run each tree's src is byte-compiled (cli_cost.compile_trees).
+Rounds alternate the order of the runs. Prints one JSON object: the machine
+block, and per (tree, workers, windows) the median ms and median minor page
+faults (ru_minflt) per call (eval) or per step of each kind (--train) over all
+its processes, with each process's own figures. Exits 1 if the results' bits
+differ where they should not: the perplexity between any two runs, and for
+--train every step's loss between runs of the same tree and windows.
 """
 
 from __future__ import annotations
 
 import argparse
-import compileall
 import hashlib
 import json
 import os
@@ -179,9 +177,8 @@ def main() -> int:
 
     env = {**os.environ, **ONE_BLAS_THREAD} if args.blas == "1" else {
         key: value for key, value in os.environ.items() if key not in ONE_BLAS_THREAD}
-    for tree in args.trees.split(","):
-        if not compileall.compile_dir(Path(tree).resolve() / "src", quiet=1):
-            raise SystemExit(f"error: {tree}/src does not byte-compile")
+    from cli_cost import compile_trees
+    compile_trees(args.trees.split(","))
     keys = [(tree, k, w) for tree in args.trees.split(",")
             for k in args.workers.split(",") for w in args.windows.split(",")]
     runs: dict[tuple[str, str, str], list[dict]] = {key: [] for key in keys}

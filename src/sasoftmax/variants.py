@@ -19,10 +19,8 @@ shape, and EmptyRow unless every row has a live entry. masked_softmax and
 masked_extrema (whose two halves the attention layer runs on its own causal
 mask) check nothing. The row API takes live logits and no mask: apply_variant
 one row, and jacobians.variant_jacobian one row or an (N, T) stack of rows.
-All arithmetic is 64-bit. The kernels call the ufunc reductions
-(np.add.reduce, np.maximum.reduce, np.minimum.reduce) straight: np.sum,
-np.max and np.min run the same calls on an ndarray, behind Python wrappers
-that hold the interpreter lock the train step's threads share.
+All arithmetic is 64-bit. The kernels call the ufunc reductions straight,
+for the reason given above microlm._layer_norm.
 
 _weight_vjp, next to the scaler whose gates it reads, is the one analytic
 gradient in the package: the attention backward and every Jacobian in

@@ -89,14 +89,19 @@ def helpers(monkeypatch):
     return pool
 
 
-def record_threads(monkeypatch, *names) -> list[int]:
+def record_threads(monkeypatch, *names, done: list | None = None) -> list[int]:
     """The ident of the thread of every call of the microlm functions names
-    from here on, in call order."""
+    from here on, in call order. Given done, each call also appends its
+    thread's ident to done when it returns or raises."""
     ran = []
     for name in names:
         def recorded(*args, _fn=getattr(microlm, name), **kwargs):
             ran.append(threading.get_ident())
-            return _fn(*args, **kwargs)
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                if done is not None:
+                    done.append(threading.get_ident())
 
         monkeypatch.setattr(microlm, name, recorded)
     return ran
@@ -108,8 +113,8 @@ def helper_idents() -> set[int]:
 
 def all_idle(pool, timeout: float = 30.0) -> bool:
     """Whether every helper of pool is idle within timeout seconds. A helper
-    posted a call's work after the call's last item was taken may still be
-    on its way back when the call returns."""
+    lent to a call that took none of its items may still be on its way back
+    when the call returns; one that took an item is idle before it returns."""
     deadline = time.monotonic() + timeout
     while len(pool.idle) < pool.started and time.monotonic() < deadline:
         time.sleep(0.001)
@@ -443,8 +448,9 @@ class TestMicroBatches:
     def test_micro_batch_error_raised_and_no_thread_left(self, corpus_path, monkeypatch,
                                                         helpers):
         # the NaN sits in the embedding row of an id that only the second
-        # micro-batch reads, so the first one succeeds; no thread is left
-        # running an item, and the one helper is idle again
+        # micro-batch reads, so the first one succeeds; when the error is
+        # raised no thread is still running a micro-batch, and the one
+        # helper is idle again
         monkeypatch.setattr(microlm, "_TRAIN_SHARD_WINDOWS", 2)
         monkeypatch.setattr(microlm, "_train_workers", lambda: 2)
         _, vocab = load_corpus(corpus_path)
@@ -452,10 +458,11 @@ class TestMicroBatches:
         params = init_params(cfg, vocab.size, np.random.default_rng(0))
         inputs = np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 2, 1], [1, 1, 0, 0]])
         params["embed"][2, 0] = np.nan
-        ran = record_threads(monkeypatch, "_forward")
+        done = []
+        ran = record_threads(monkeypatch, "_forward", done=done)
         with pytest.raises(NonFiniteInput, match="contains NaN"):
             forward_loss(params, inputs, inputs, cfg)
-        assert len(ran) == 2
+        assert len(ran) == 2 and len(done) == 2
         assert set(ran) - {threading.get_ident()} <= helper_idents()
         assert helpers.started == 1 and all_idle(helpers)
 
@@ -578,20 +585,29 @@ class TestRunAll:
     @pytest.mark.parametrize("workers", (1, 2))
     def test_first_failure_in_order_wins(self, workers, helpers):
         # items are taken in order, so 2 starts before 4 fails; once either
-        # fails, 5 is never started. Only the caller and at most workers - 1
-        # helpers ran items, and every helper is idle again.
+        # fails, 5 is never started. When the error is raised every started
+        # item has finished (1 runs long, so a call that raised before its
+        # items were done would show); only the caller and at most
+        # workers - 1 helpers ran items, and every helper is idle again.
         ran = []
+        done = []
         threads = []
 
         def fn(i):
             ran.append(i)
             threads.append(threading.get_ident())
-            if i in (2, 4):
-                raise ValueError(str(i))
-            return i
+            try:
+                if i == 1:
+                    time.sleep(0.05)
+                if i in (2, 4):
+                    raise ValueError(str(i))
+                return i
+            finally:
+                done.append(i)
 
         with pytest.raises(ValueError, match="^2$"):
             _run_all(fn, range(6), workers)
+        assert sorted(done) == sorted(ran)
         assert {0, 1, 2} <= set(ran) and 5 not in ran
         assert helpers.started == workers - 1 and all_idle(helpers)
         assert set(threads) - {threading.get_ident()} <= helper_idents()
@@ -1127,8 +1143,9 @@ class TestEvaluate:
 
     def test_chunk_error_raised_and_no_thread_left(self, corpus_path, monkeypatch, helpers):
         # the NaN sits in the embedding of a byte first read in the fourth
-        # chunk or later, so the chunks before the failing one succeed; no
-        # thread is left running a chunk, and the one helper is idle again
+        # chunk or later, so the chunks before the failing one succeed; when
+        # the error is raised no thread is still running a chunk, and the one
+        # helper is idle again
         tokens, vocab = load_corpus(corpus_path)
         cfg = tiny_config(corpus_path, layers=1, d_model=8, seq_len=16)
         params = init_params(cfg, vocab.size, np.random.default_rng(4))
@@ -1137,10 +1154,11 @@ class TestEvaluate:
         late = next(i for i in np.unique(ids) if np.argmax(ids == i) >= 3 * chunk * 16)
         params["embed"][late, 0] = np.nan
         monkeypatch.setattr(microlm, "_workers", lambda: 2)
-        ran = record_threads(monkeypatch, "_forward")
+        done = []
+        ran = record_threads(monkeypatch, "_forward", done=done)
         with pytest.raises(NonFiniteInput, match="contains NaN"):
             evaluate_ppl(params, cfg, vocab, vocab.decode(ids))
-        assert 4 <= len(ran) <= 8
+        assert 4 <= len(ran) <= 8 and len(done) == len(ran)
         assert set(ran) - {threading.get_ident()} <= helper_idents()
         assert helpers.started == 1 and all_idle(helpers)
 
