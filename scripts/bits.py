@@ -14,6 +14,11 @@ SHA-256 per part:
     eval          the perplexity of the bundled corpus under each kind's
                   final parameters
     gradcheck     reports_to_json(gradcheck(300, (1, 8), seed=7))
+    gradcheck-coarse
+                  reports_to_json(gradcheck(300, (1, 8), seed=7, h=1e-3)): at
+                  that step most compared rows have a non-zero error and
+                  some fail, so the worst-entry search and passed=False rows
+                  are covered too
     tie_rows      variant_weights and variant_weight_vjp of every kind on
                   200 masked rows of 9 entries drawn from {0.0, -0.0, +-1,
                   2.5}: exact ties, signed zeros, v4 extrema of exactly 0,
@@ -88,6 +93,8 @@ def child() -> dict[str, str]:
     parts["eval"] = _digest(ppl)
     parts["gradcheck"] = hashlib.sha256(
         reports_to_json(gradcheck(300, (1, 8), seed=7)).encode()).hexdigest()
+    parts["gradcheck-coarse"] = hashlib.sha256(
+        reports_to_json(gradcheck(300, (1, 8), seed=7, h=1e-3)).encode()).hexdigest()
 
     rng = np.random.default_rng(23)
     scores = rng.choice(np.array([0.0, -0.0, 1.0, -1.0, 2.5]), size=(200, 9))

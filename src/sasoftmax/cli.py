@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -131,6 +132,12 @@ def _load_file_config(path: str, schema: dict) -> dict:
         want, _ = schema[key]
         if not _is_json(value, want):
             raise ConfigError(f"config key {key!r} must be {want.__name__}")
+        if want is str:
+            # a JSON escape can give a lone surrogate, which no text encodes
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ConfigError(f"config key {key!r} is not UTF-8 text: {value!r}") from None
         if want is float:
             try:
                 data[key] = float(value)
@@ -249,7 +256,9 @@ def run_dump(merged: dict) -> int:
     if not ckpt_path.is_file():
         raise ConfigError(f"checkpoint not found: {ckpt_path}")
     params, cfg, vocab = load_checkpoint(ckpt_path)
-    maps = attention_maps(params, cfg, vocab, merged["prompt"])
+    # the bytes the user typed: argv decodes bytes that are not UTF-8 to lone
+    # surrogates, and fsencode maps them back (config-file text is UTF-8)
+    maps = attention_maps(params, cfg, vocab, os.fsencode(merged["prompt"]))
     out_dir = Path(merged["out"])
     _write_config_echo(out_dir, "dump", merged)
     paths = dump_attention(maps, out_dir)

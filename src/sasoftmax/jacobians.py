@@ -18,6 +18,7 @@ low bits of a stacked Jacobian can differ from the same row's on its own.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
 from itertools import repeat
@@ -163,6 +164,10 @@ def gradcheck(samples: int, t_range: tuple[int, int] = (1, 8),
     and the check is in effect |analytic - fd| <= ABS_FLOOR per entry: at
     seed 7, 39 990 of the 39 993 compared rows of gradcheck(1000, (1, 8))
     have max_rel_err == 0.0. tol_rel only bites once ABS_FLOOR is lowered too.
+
+    The process's cyclic garbage collector is paused while the rows are built
+    and left as the call found it, also when the call raises. Cycles made by
+    other threads meanwhile wait until the call returns.
     """
     if not _is_int(samples):
         raise ConfigError(f"samples must be an integer, got {samples!r}")
@@ -183,36 +188,52 @@ def gradcheck(samples: int, t_range: tuple[int, int] = (1, 8),
 
     rng = np.random.default_rng(seed)
     reports: list[GradCheckReport] = []
-    for t in range(t_lo, t_hi + 1):
-        # one (row, column) tuple per flat entry, shared by every row of this t
-        entries = [divmod(e, t) for e in range(t * t)]
-        for kind in kinds:
-            z = rng.uniform(-8.0, 8.0, size=(samples, t))
-            ties = _tie_rows(z, kind, h)
-            # (t*t, samples) views in the blocks' memory order, no copies:
-            # entry (j, k) of sample i is [j*t + k, i]
-            analytic = _jacobian_full_rows(z, kind, DEFAULT_EPS).transpose(1, 2, 0)
-            fd = _fd_full_rows(z, kind, DEFAULT_EPS, h).transpose(1, 2, 0)
-            analytic, fd = analytic.reshape(t * t, samples), fd.reshape(t * t, samples)
-            abs_err = np.subtract(analytic, fd)
-            np.abs(abs_err, out=abs_err)
-            # The effective relative error, built in place of its denominator.
-            # A tie row reads as all-zero error, so it comes out with entry
-            # (0, 0) and passes, since tol_rel > 0.
-            eff_rel = np.maximum(np.abs(analytic, out=analytic), np.abs(fd, out=fd), out=analytic)
-            np.divide(abs_err, eff_rel, out=eff_rel, where=eff_rel > 0)
-            np.copyto(eff_rel, 0.0, where=(abs_err <= ABS_FLOOR) | ties)
-            max_abs = np.where(ties, 0.0, abs_err.max(axis=0))
-            # Each row's reductions at once; argmax takes the first maximum,
-            # so the worst entry is the lowest flat index among ties.
-            worst = eff_rel.argmax(axis=0)
-            max_rel = eff_rel[worst, np.arange(samples)]
-            # tuple.__new__ is what GradCheckReport._make runs, without its
-            # Python frame or length check: the 8-way zip fixes each row's arity
-            reports += map(tuple.__new__, repeat(GradCheckReport), zip(
-                repeat(kind), repeat(t), range(samples), max_abs.tolist(), max_rel.tolist(),
-                map(entries.__getitem__, worst.tolist()),
-                (max_rel <= tol_rel).tolist(), ties.tolist()))
+    # Each row is a tracked tuple, so 40 000 of them set off many cyclic
+    # collections; none is cyclic. Pause the GC as timeit does, and leave it
+    # as the call found it.
+    gc_was_on = gc.isenabled()
+    gc.disable()
+    try:
+        for t in range(t_lo, t_hi + 1):
+            # one (row, column) tuple per flat entry, shared by every row of this t
+            entries = [divmod(e, t) for e in range(t * t)]
+            for kind in kinds:
+                z = rng.uniform(-8.0, 8.0, size=(samples, t))
+                ties = _tie_rows(z, kind, h)
+                # (t*t, samples) views in the blocks' memory order, no copies:
+                # entry (j, k) of sample i is [j*t + k, i]
+                analytic = _jacobian_full_rows(z, kind, DEFAULT_EPS).transpose(1, 2, 0)
+                fd = _fd_full_rows(z, kind, DEFAULT_EPS, h).transpose(1, 2, 0)
+                analytic, fd = analytic.reshape(t * t, samples), fd.reshape(t * t, samples)
+                abs_err = np.subtract(analytic, fd)
+                np.abs(abs_err, out=abs_err)
+                # The effective relative error, built in place of its denominator.
+                # A zero denominator means both entries are 0, so its 0/0 is
+                # zeroed by the floor. A tie row reads as all-zero error, so it
+                # comes out with entry (0, 0) and passes, since tol_rel > 0.
+                eff_rel = np.maximum(np.abs(analytic, out=analytic), np.abs(fd, out=fd),
+                                     out=analytic)
+                with np.errstate(invalid="ignore"):
+                    np.divide(abs_err, eff_rel, out=eff_rel)
+                np.copyto(eff_rel, 0.0, where=(abs_err <= ABS_FLOOR) | ties)
+                max_abs = np.where(ties, 0.0, abs_err.max(axis=0))
+                # Each row's reductions at once. argmax copies its axis to the
+                # end, so it runs only on rows whose largest error is not 0 (NaN
+                # included); it takes the first maximum, so the worst entry is
+                # the lowest flat index among ties, and (0, 0) on all-zero rows.
+                max_rel = np.maximum.reduce(eff_rel, axis=0)
+                worst = np.zeros(samples, dtype=np.intp)
+                rows = np.flatnonzero(max_rel)
+                worst[rows] = eff_rel.T[rows].argmax(axis=1)
+                # tuple.__new__ is what GradCheckReport._make runs, without its
+                # Python frame or length check: the 8-way zip fixes each row's arity
+                reports += map(tuple.__new__, repeat(GradCheckReport), zip(
+                    repeat(kind), repeat(t), range(samples), max_abs.tolist(), max_rel.tolist(),
+                    map(entries.__getitem__, worst.tolist()),
+                    (max_rel <= tol_rel).tolist(), ties.tolist()))
+    finally:
+        if gc_was_on:
+            gc.enable()
     return reports
 
 

@@ -586,7 +586,9 @@ def train(cfg: TrainConfig) -> TrainResult:
     """Run the full training loop; deterministic given (seed, config, corpus).
 
     A loss that is not finite raises NonFiniteInput at its step (counted
-    from 1, as NonFiniteGradient counts them)."""
+    from 1, as NonFiniteGradient counts them). A gradient norm that is not
+    finite raises NonFiniteGradient at its step, also when every gradient
+    entry is finite and only their sum of squares overflows."""
     tokens, vocab = load_corpus(cfg.corpus_path)
     if len(tokens) < cfg.seq_len + 1:
         raise CorpusTooSmall(
@@ -604,6 +606,9 @@ def train(cfg: TrainConfig) -> TrainResult:
         grads = backward(cache)
         norm = global_grad_norm(grads)
         params, state = adam_step(params, grads, state, cfg)
+        # after adam_step, which names the parameter of a non-finite entry
+        if not math.isfinite(norm):
+            raise NonFiniteGradient(f"gradient norm is not finite at step {step}")
         metrics.loss.append(loss)
         metrics.grad_norm.append(norm)
         metrics.step_time.append(time.perf_counter() - t0)

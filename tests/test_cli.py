@@ -5,11 +5,13 @@ All invocations run main() in-process against temp directories.
 
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
 
 from sasoftmax import TrainConfig, cli, load_checkpoint, microlm, save_checkpoint
+from sasoftmax.diagnostics import dump_attention
 from sasoftmax.cli import build_parser, main
 
 # Every option `train` takes. TrainConfig fields left off the CLI (rope_base)
@@ -230,6 +232,19 @@ class TestTrainCommand:
         assert not (out / "metrics.csv").exists()
         assert not (out / "checkpoint.bin").exists()
 
+    def test_nonfinite_grad_norm_exits_1(self, tmp_path, capsys):
+        # finite gradients whose sum of squares overflows
+        out = tmp_path / "x"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["train", "--layers", "1", "--d-model", "8", "--seq-len", "8",
+                       "--batch", "2", "--steps", "2", "--init-std", "1e200",
+                       "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: NonFiniteGradient: gradient norm is not finite at step 1\n")
+        assert not (out / "metrics.csv").exists()
+        assert not (out / "checkpoint.bin").exists()
+
     def test_flag_set_frozen(self):
         parsed = vars(build_parser().parse_args(["train"]))
         assert set(parsed) == TRAIN_FLAGS | {"command", "config"}
@@ -332,6 +347,41 @@ class TestDumpCommand:
             capsys.readouterr()
             rc = main([command, "--checkpoint", ckpt, *source, "--out", str(out)])
             assert_config_error(rc, capsys, out)
+
+    def test_prompt_bytes_not_utf8(self, trained_dir, tmp_path, capsys):
+        """argv bytes that are not UTF-8 reach the vocabulary as typed."""
+        out = tmp_path / "x"
+        rc = main(["dump", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                   "--prompt", os.fsdecode(b"th\xff"), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: byte 0xff is not in the vocabulary\n"
+        assert not out.exists()
+
+    def test_prompt_keeps_its_bytes(self, tmp_path, capsys):
+        """A prompt runs on the bytes typed, UTF-8 or not; a config-file
+        prompt that no text encodes is a config error, though its byte is in
+        the vocabulary."""
+        corpus = tmp_path / "c.txt"
+        corpus.write_bytes("the r\u00e9ver and \xff stone\n".encode() * 4 + b"\xfe\xff\n")
+        ckpt = tmp_path / "tr" / "checkpoint.bin"
+        assert main(["train", "--corpus", str(corpus), "--layers", "1", "--d-model", "8",
+                     "--seq-len", "8", "--batch", "2", "--steps", "1",
+                     "--out", str(ckpt.parent)]) == 0
+        params, cfg, vocab = load_checkpoint(ckpt)
+        for i, prompt in enumerate([b"the r\xc3\xa9ver", b"\xfe\xff the \xff"]):
+            out, want = tmp_path / f"dump{i}", tmp_path / f"want{i}"
+            assert main(["dump", "--checkpoint", str(ckpt), "--prompt", os.fsdecode(prompt),
+                         "--out", str(out)]) == 0
+            maps = microlm.attention_maps(params, cfg, vocab, prompt)
+            assert maps[0].shape == (len(prompt), len(prompt))
+            (path,) = dump_attention(maps, want)
+            assert read(out / path.name) == read(path)
+        config = tmp_path / "cfg.json"
+        config.write_text('{"prompt": "th\\udcff"}')
+        out = tmp_path / "file"
+        capsys.readouterr()
+        rc = main(["dump", "--checkpoint", str(ckpt), "--config", str(config), "--out", str(out)])
+        assert_config_error(rc, capsys, out)
 
     def test_other_library_error_keeps_exit_1(self, trained_dir, tmp_path, capsys):
         text = tmp_path / "t.txt"

@@ -1,6 +1,7 @@
 """Jacobian tests: the VJP-built Jacobians against frozen values and the
 closed-form oracle, the finite-difference oracle, and the gradcheck harness."""
 
+import gc
 import json
 
 import numpy as np
@@ -383,17 +384,52 @@ class TestGradcheck:
         with pytest.raises(ValueError):
             gradcheck(samples=1, t_range=(3, 2))
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_leaves_gc_as_found(self, enabled, monkeypatch):
+        # the GC is paused while the rows are built, then restored only if
+        # it was on, so a caller that turned it off keeps it off
+        paused = []
+
+        def stencil(*args):
+            paused.append(not gc.isenabled())
+            return _fd_full_rows(*args)
+
+        monkeypatch.setattr(jacobians, "_fd_full_rows", stencil)
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            gradcheck(samples=20, t_range=(1, 3), seed=3)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert paused == [True] * 3 * len(ALL_KINDS)
+
+    def test_restores_gc_when_raising(self, monkeypatch):
+        def broken(*args):
+            assert not gc.isenabled()
+            raise RuntimeError("stencil failed")
+
+        monkeypatch.setattr(jacobians, "_fd_full_rows", broken)
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="stencil failed"):
+            gradcheck(samples=2, t_range=(1, 2), seed=0)
+        assert gc.isenabled()
+
     def test_accepts_numpy_integers_and_list_range(self):
         want = gradcheck(samples=3, t_range=(1, 2), seed=4)
         assert gradcheck(samples=np.int64(3), t_range=[np.int32(1), 2], seed=np.uint8(4)) == want
 
     # Central differences at the default step are accurate to about the
-    # absolute floor, so rows fail only once the floor is lowered as well.
-    @pytest.mark.parametrize("tol_rel, abs_floor", [(1e-6, ABS_FLOOR), (1e-12, 1e-14)])
-    def test_matches_per_row_loop(self, tol_rel, abs_floor, monkeypatch):
+    # absolute floor, so rows fail only once the floor is lowered as well, or
+    # at a coarse step, where most compared rows have a non-zero error.
+    @pytest.mark.parametrize("tol_rel, abs_floor, h", [
+        pytest.param(1e-6, ABS_FLOOR, FD_STEP, id="1e-06-1e-09"),
+        pytest.param(1e-12, 1e-14, FD_STEP, id="1e-12-1e-14"),
+        pytest.param(1e-6, ABS_FLOOR, 1e-3, id="1e-06-1e-09-h1e-03")])
+    def test_matches_per_row_loop(self, tol_rel, abs_floor, h, monkeypatch):
         monkeypatch.setattr(jacobians, "ABS_FLOOR", abs_floor)
-        got = gradcheck(samples=100, t_range=(1, 8), tol_rel=tol_rel, seed=5)
-        want = loop_gradcheck(100, (1, 8), tol_rel, seed=5, abs_floor=abs_floor)
+        got = gradcheck(samples=100, t_range=(1, 8), tol_rel=tol_rel, seed=5, h=h)
+        want = loop_gradcheck(100, (1, 8), tol_rel, seed=5, abs_floor=abs_floor, h=h)
         # line lists and per-report equality keep a failure's diff short
         assert reports_to_json(got).splitlines() == reports_to_json(want).splitlines()
         for g, w in zip(got, want):
@@ -405,6 +441,14 @@ class TestGradcheck:
             failed = [r for r in checked if not r.passed]
             assert 0 < len(failed) < len(checked)
             assert len({r.worst_entry for r in failed}) > 10
+        if h == 1e-3:
+            # most compared rows take the argmax over their entries, and a row
+            # of t >= 2 can still have no error left above the floor
+            nonzero = [r for r in checked if r.max_rel_err != 0.0]
+            assert len(nonzero) > len(checked) // 2
+            assert any(not r.passed for r in nonzero)
+            assert len({r.worst_entry for r in nonzero}) > 10
+            assert any(r.t > 1 and r.max_rel_err == 0.0 for r in checked)
         for r in got:
             # the rows are built without _make's length check
             assert type(r) is GradCheckReport and len(r) == len(GradCheckReport._fields)
@@ -414,7 +458,7 @@ class TestGradcheck:
             assert [type(i) for i in r.worst_entry] == [int, int]
 
 
-def loop_gradcheck(samples, t_range, tol_rel, seed, abs_floor):
+def loop_gradcheck(samples, t_range, tol_rel, seed, abs_floor, h=FD_STEP):
     """gradcheck as it was written with a per-row loop of numpy reductions:
     the reference for the whole-array reductions, which must give the same
     reports, field types included."""
@@ -423,9 +467,9 @@ def loop_gradcheck(samples, t_range, tol_rel, seed, abs_floor):
     for t in range(t_range[0], t_range[1] + 1):
         for kind in ALL_KINDS:
             z = rng.uniform(-8.0, 8.0, size=(samples, t))
-            ties = _tie_rows(z, kind, FD_STEP)
+            ties = _tie_rows(z, kind, h)
             analytic = _jacobian_full_rows(z, kind, DEFAULT_EPS)
-            fd = _fd_full_rows(z, kind, DEFAULT_EPS, FD_STEP)
+            fd = _fd_full_rows(z, kind, DEFAULT_EPS, h)
             abs_err = np.abs(analytic - fd)
             denom = np.maximum(np.abs(analytic), np.abs(fd))
             rel = np.divide(abs_err, denom, out=np.zeros_like(abs_err), where=denom > 0)

@@ -1065,6 +1065,16 @@ class TestTrain:
             train(tiny_config(corpus_path, steps=5))
         assert len(steps) == 3
 
+    def test_nonfinite_grad_norm_stops_at_its_step(self, corpus_path):
+        # every gradient entry is finite, so adam_step's check passes, but
+        # their sum of squares overflows; global_grad_norm itself still
+        # returns inf, so only train's loop raises
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert global_grad_norm({"a": np.array([1e200])}) == np.inf
+            with pytest.raises(NonFiniteGradient,
+                               match="gradient norm is not finite at step 1$"):
+                train(tiny_config(corpus_path, init_std=1e200, steps=3))
+
     def test_grad_norm_is_global_l2(self):
         grads = {"a": np.array([3.0]), "b": np.array([4.0])}
         assert global_grad_norm(grads) == 5.0
