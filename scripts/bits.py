@@ -6,7 +6,10 @@ sweep across trees.
 
 For each tree, one fresh process imports sasoftmax from TREE/src (--trees;
 default this tree) with one BLAS thread, as perfbench runs, and prints one
-SHA-256 per part:
+SHA-256 per part below. A second process runs the train and eval parts with
+the BLAS at its own default thread count, which the train step and eval
+change while they run pieces side by side, under the part names
+train-<kind>-blas-default and eval-blas-default.
 
     train-<kind>  40 default-config steps (seed 0) on the bundled corpus: the
                   loss and every gradient of each step, then the final
@@ -57,8 +60,9 @@ def _digest(arrays) -> str:
     return h.hexdigest()
 
 
-def child() -> dict[str, str]:
-    """The hashes of every part, from the sasoftmax this process imports."""
+def child(model_only: bool = False) -> dict[str, str]:
+    """The hashes of every part, or of the train and eval parts only, from
+    the sasoftmax this process imports."""
     import numpy as np
 
     from sasoftmax import (ALL_KINDS, SweepSpec, gradcheck, reports_to_json,
@@ -91,6 +95,8 @@ def child() -> dict[str, str]:
         parts[f"train-{kind.value}"] = _digest(seen)
         ppl.append(np.float64(evaluate_ppl(params, cfg, vocab, text)))
     parts["eval"] = _digest(ppl)
+    if model_only:
+        return parts
     parts["gradcheck"] = hashlib.sha256(
         reports_to_json(gradcheck(300, (1, 8), seed=7)).encode()).hexdigest()
     parts["gradcheck-coarse"] = hashlib.sha256(
@@ -114,18 +120,24 @@ def child() -> dict[str, str]:
     return parts
 
 
-def run_tree(tree: str) -> dict[str, str]:
-    """child()'s hashes, computed in a fresh process that imports TREE/src."""
+def run_tree(tree: str, blas_default: bool = False) -> dict[str, str]:
+    """child()'s hashes, computed in a fresh process that imports TREE/src:
+    every part at one BLAS thread, or the train and eval parts, renamed, at
+    the BLAS's default."""
     src = Path(tree).resolve() / "src"
-    env = {**os.environ, **ONE_BLAS_THREAD, "PYTHONPATH": str(src)}
+    env = ({key: value for key, value in os.environ.items() if key not in ONE_BLAS_THREAD}
+           if blas_default else {**os.environ, **ONE_BLAS_THREAD})
+    env["PYTHONPATH"] = str(src)
     code = ("import json, sys, sasoftmax; sys.path.insert(0, sys.argv[1]); import bits; "
             "assert sasoftmax.__file__.startswith(sys.argv[2]), sasoftmax.__file__; "
-            "print(json.dumps(bits.child()))")
-    proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "scripts"), str(src)],
+            "print(json.dumps(bits.child(sys.argv[3] == 'default')))")
+    proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "scripts"), str(src),
+                           "default" if blas_default else "1"],
                           env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"error: the run on {tree} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout)
+    parts = json.loads(proc.stdout)
+    return {f"{part}-blas-default": h for part, h in parts.items()} if blas_default else parts
 
 
 def main() -> int:
@@ -134,7 +146,8 @@ def main() -> int:
     parser.add_argument("--trees", default=str(ROOT),
                         help="comma-separated source trees to import sasoftmax from")
     args = parser.parse_args()
-    hashes = {tree: run_tree(tree) for tree in args.trees.split(",")}
+    hashes = {tree: {**run_tree(tree), **run_tree(tree, blas_default=True)}
+              for tree in args.trees.split(",")}
     runs = list(hashes.values())
     differ = sorted(part for part in runs[0] if any(r.get(part) != runs[0][part] for r in runs))
     print(json.dumps({"trees": hashes, "differ": differ}, indent=1))

@@ -11,10 +11,10 @@ the train step at several micro-batch sizes, and worker counts.
 Each (round, tree, workers, windows) runs in a fresh process that imports
 sasoftmax from TREE/src (--trees; default this tree), with one BLAS thread
 as perfbench does, or with the BLAS at its own default thread count
-(--blas default). That process replaces microlm._workers (eval) or
-microlm._train_workers (--train) with the worker count, in its own memory;
-the package has no setting for it. "auto" for --workers or --windows leaves
-the package's own value.
+(--blas default). That process replaces microlm._workers, which the train
+step and eval both run on, with the worker count, in its own memory; the
+package has no setting for it. "auto" for --workers or --windows leaves the
+package's own value.
 
 Eval: a v4 model at the default config (init seed 11), one warm-up call,
 then --calls timed calls, with microlm._EVAL_CHUNK_POSITIONS set to
@@ -24,15 +24,20 @@ windows * seq_len.
 round-robin as perfbench's train_mix workload does, one warm-up round, then
 --calls timed rounds of one step per kind, with
 microlm._TRAIN_SHARD_WINDOWS set to windows. A step is sample_windows,
-forward_loss, backward, global_grad_norm and adam_step.
+forward_loss, backward, global_grad_norm and adam_step. Each micro-batch's
+_forward and _backward item also counts its thread's context switches
+(RUSAGE_THREAD's ru_nvcsw + ru_nivcsw, so --train needs Linux): the
+interpreter-lock handoffs between the threads of a step.
 
 Before the first run each tree's src is byte-compiled (cli_cost.compile_trees).
 Rounds alternate the order of the runs. Prints one JSON object: the machine
 block, and per (tree, workers, windows) the median ms and median minor page
 faults (ru_minflt) per call (eval) or per step of each kind (--train) over all
-its processes, with each process's own figures. Exits 1 if the results' bits
-differ where they should not: the perplexity between any two runs, and for
---train every step's loss between runs of the same tree and windows.
+its processes, with each process's own figures; --train adds the median
+context switches per _forward and per _backward item of each kind. Exits 1
+if the results' bits differ where they should not: the perplexity between
+any two runs, and for --train every step's loss between runs of the same
+tree and windows.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 SEED = 11
+ITEMS = ("_forward", "_backward")
 
 
 def timed(fn) -> tuple[object, float, int]:
@@ -62,7 +68,12 @@ def timed(fn) -> tuple[object, float, int]:
     return out, ms, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
 
 
-def measure_eval(microlm, corpus, calls: int, windows: int | None, workers: int | None) -> dict:
+def thread_switches() -> int:
+    usage = resource.getrusage(resource.RUSAGE_THREAD)
+    return usage.ru_nvcsw + usage.ru_nivcsw
+
+
+def measure_eval(microlm, corpus, calls: int, windows: int | None) -> dict:
     """ms and ru_minflt of each timed evaluate_ppl call, and the ppl's bits."""
     import numpy as np
 
@@ -74,8 +85,6 @@ def measure_eval(microlm, corpus, calls: int, windows: int | None, workers: int 
     text = corpus.read_bytes()
     if windows is not None:
         microlm._EVAL_CHUNK_POSITIONS = windows * cfg.seq_len
-    if workers is not None:
-        microlm._workers = lambda: workers
     microlm.evaluate_ppl(params, cfg, vocab, text)  # warm-up
     ms, faults = [], []
     for _ in range(calls):
@@ -85,8 +94,9 @@ def measure_eval(microlm, corpus, calls: int, windows: int | None, workers: int 
     return {"ms": ms, "faults": faults, "bits": ppl.hex()}
 
 
-def measure_train(microlm, corpus, calls: int, windows: int | None, workers: int | None) -> dict:
-    """ms and ru_minflt of each timed train step by kind, and the bits of
+def measure_train(microlm, corpus, calls: int, windows: int | None) -> dict:
+    """ms and ru_minflt of each timed train step by kind, the context
+    switches of each of its _forward and _backward items, and the bits of
     every step's loss."""
     import numpy as np
 
@@ -95,8 +105,19 @@ def measure_train(microlm, corpus, calls: int, windows: int | None, workers: int
     tokens, vocab = microlm.load_corpus(corpus)
     if windows is not None:
         microlm._TRAIN_SHARD_WINDOWS = windows
-    if workers is not None:
-        microlm._train_workers = lambda: workers
+    sink = {name: [] for name in ITEMS}  # where each item's count goes
+
+    def counted(fn, name):
+        def run(*args, **kwargs):
+            before = thread_switches()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                sink[name].append(thread_switches() - before)
+        return run
+
+    for name in ITEMS:
+        setattr(microlm, name, counted(getattr(microlm, name), name))
     models = []
     for i, kind in enumerate(ALL_KINDS):
         cfg = microlm.TrainConfig(corpus_path=str(corpus), kind=kind, seed=SEED)
@@ -115,14 +136,17 @@ def measure_train(microlm, corpus, calls: int, windows: int | None, workers: int
     losses = [step(*model) for model in models]  # warm-up
     ms = {kind.value: [] for kind in ALL_KINDS}
     faults = {kind.value: [] for kind in ALL_KINDS}
+    switches = {name: {kind.value: [] for kind in ALL_KINDS} for name in ITEMS}
     for _ in range(calls):
         for kind, model in zip(ALL_KINDS, models):
+            sink.update((name, switches[name][kind.value]) for name in ITEMS)
             loss, step_ms, step_faults = timed(lambda: step(*model))
             losses.append(loss)
             ms[kind.value].append(step_ms)
             faults[kind.value].append(step_faults)
     bits = hashlib.sha256(" ".join(x.hex() for x in losses).encode()).hexdigest()
-    return {"ms": ms, "faults": faults, "bits": bits}
+    return {"ms": ms, "faults": faults, "bits": bits,
+            **{f"switches{name}": switches[name] for name in ITEMS}}
 
 
 def child(measure, tree: str, windows: int | None, workers: int | None, calls: int) -> dict:
@@ -131,7 +155,9 @@ def child(measure, tree: str, windows: int | None, workers: int | None, calls: i
     from sasoftmax import microlm
     from sasoftmax.cli import bundled_corpus_path
 
-    out = measure(microlm, bundled_corpus_path(), calls, windows, workers)
+    if workers is not None:
+        microlm._workers = lambda: workers
+    out = measure(microlm, bundled_corpus_path(), calls, windows)
     sys.path.insert(0, str(ROOT / "perfbench"))
     from machine import machine_block
 
@@ -200,6 +226,9 @@ def main() -> int:
                f"faults_per_{unit}": median_of(runs[tree, k, w], "faults"),
                "processes": [{"ms": run["ms"], "faults": run["faults"]}
                              for run in runs[tree, k, w]]}
+        if args.train:
+            for name in ITEMS:
+                row[f"switches_per{name}_item"] = median_of(runs[tree, k, w], f"switches{name}")
         rows.append(row)
     # train steps sum their gradients in an order set by the micro-batch
     # size and the tree's code, so only runs of the same tree and windows

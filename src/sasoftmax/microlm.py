@@ -5,13 +5,16 @@ output embeddings), trained with Adam. No autograd anywhere: every gradient
 is computed by hand, with the attention weights differentiated through the
 selected scoring variant. Everything runs in float64 and is deterministic
 given (seed, config, corpus), whatever the CPU count: the train step and eval
-split their work into fixed pieces, run them side by side on the CPUs the
-process may use (the train step only on those its BLAS leaves free), and
-combine the results in a fixed order. The pieces run on the calling thread
-and on daemon helper threads that are kept across calls (_run_all): each
-helper is started by the first call that needs it, waits idle between calls
-and keeps its malloc arena, so no step pays for a fresh thread or arena. A
-forked child starts with no helper.
+split their work into fixed pieces, run them side by side on every CPU the
+process may use, and combine the results in a fixed order. The pieces run on
+the calling thread and on daemon helper threads that are kept across calls
+(_run_all): each helper is started by the first call that needs it, waits
+idle between calls and keeps its malloc arena, so no step pays for a fresh
+thread or arena. A forked child starts with no helper.
+
+While a call runs pieces beside a helper, numpy's OpenBLAS runs on one
+thread (_Helpers), so numpy BLAS calls that other threads make meanwhile do
+too. Where numpy's OpenBLAS cannot be found, nothing is set.
 
 Importing this module, and so the sasoftmax package, sets two glibc malloc
 thresholds for the whole process (_keep_freed_heap): freed blocks stay mapped
@@ -32,7 +35,6 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import os
@@ -316,7 +318,7 @@ def forward_loss(params: dict, inputs: np.ndarray, targets: np.ndarray,
     n = _TRAIN_SHARD_WINDOWS
     parts = _run_all(lambda lo: _forward(params, inputs[lo:lo + n], targets[lo:lo + n], cfg,
                                          keep=True),
-                     range(0, len(inputs), n), _train_workers())
+                     range(0, len(inputs), n), _workers())
     nll = np.concatenate([part_nll for part_nll, _ in parts])
     shards = [shard for _, shard in parts]
     cache = {
@@ -445,7 +447,7 @@ def backward(cache: dict) -> dict[str, np.ndarray]:
     shards = cache["shards"]
     positions = sum(shard["inputs"].size for shard in shards)
     parts = _run_all(lambda shard: _backward(params, cfg, shard, positions), shards,
-                     _train_workers())
+                     _workers())
     grads = parts[0]
     for part in parts[1:]:
         for name, g in part.items():
@@ -629,8 +631,7 @@ def evaluate_ppl(params: dict, cfg: TrainConfig, vocab: Vocabulary,
     chunk in text order wins. A perplexity that is not finite raises
     NonFiniteInput.
     """
-    data = text.encode("utf-8") if isinstance(text, str) else bytes(text)
-    ids = vocab.encode(data)
+    ids = vocab.encode(_text_bytes(text))
     t = cfg.seq_len
     if len(ids) < t + 1:
         raise TextTooShort(f"need at least seq_len+1 = {t + 1} tokens, got {len(ids)}")
@@ -651,73 +652,47 @@ def evaluate_ppl(params: dict, cfg: TrainConfig, vocab: Vocabulary,
     return ppl
 
 
+def _text_bytes(text: str | bytes) -> bytes:
+    """A str's UTF-8 bytes, or the bytes given; UnknownSymbol for a str
+    that UTF-8 cannot encode (one holding a lone surrogate)."""
+    if not isinstance(text, str):
+        return bytes(text)
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise UnknownSymbol(f"character {text[exc.start]!r} at index {exc.start} "
+                            f"has no UTF-8 encoding") from None
+
+
 def _workers() -> int:
-    """How many CPUs this process may run on: the threads evaluate_ppl
-    runs its chunks on."""
+    """How many CPUs this process may run on: the threads that the train
+    step runs its micro-batches on and evaluate_ppl its chunks on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         return os.cpu_count() or 1
 
 
-def _train_workers() -> int:
-    """How many threads the train step runs its micro-batches on: the CPUs
-    this process may run on, shared out among the most threads a loaded
-    OpenBLAS runs one call on; 1 where no OpenBLAS can be asked.
-
-    A multi-threaded OpenBLAS serialises the train step's calls made at once
-    from several threads, while its own threads spin: the default step took
-    ~30 ms at two workers on a two-CPU host against ~26 ms at one, with
-    OpenBLAS at two threads, and ~18 ms at two workers with OpenBLAS at one.
-    Eval's smaller calls do not lose this way: with OpenBLAS at two threads
-    an eval of the bundled corpus took ~900 ms on two threads against
-    ~1250 ms on one (BENCH_train.json kept_heap), so _workers() leaves the
-    BLAS out.
-    """
-    cpus = _workers()
-    getters = _openblas_thread_getters()
-    blas = max(get() for get in getters) if getters else cpus
-    return max(1, cpus // blas)
-
-
 @functools.lru_cache(maxsize=1)
-def _openblas_thread_getters() -> tuple:
-    """openblas_get_num_threads of every OpenBLAS mapped into this process
-    at the first call; none off Linux. numpy's OpenBLAS runs every BLAS call
-    of the package. scipy bundles another, mapped only once the first GELU
-    imports scipy.special (_erf), so a first call before that lists numpy's
-    alone; scipy's runs none of the package's calls."""
+def _openblas_threads() -> tuple | None:
+    """(get, set) of numpy's OpenBLAS thread count, looked up through numpy's
+    linalg extension, whose handle also searches the libraries it links;
+    None if it does not load or has none of the four names. scipy's own
+    OpenBLAS runs none of the package's calls and is left as it is."""
     try:
-        with open("/proc/self/maps", encoding="utf-8") as maps:
-            paths = _openblas_paths(maps)
-    except OSError:
-        return ()
-    getters = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:  # gone from disk or not loadable by this path
-            continue
-        for prefix, suffix in itertools.product(("openblas", "scipy_openblas"), ("", "64_")):
-            getter = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            if getter is not None:
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                getters.append(getter)
-                break
-    return tuple(getters)
-
-
-def _openblas_paths(maps_lines) -> list[str]:
-    """The files mapped into a process whose name holds "openblas", once
-    each, from the lines of its /proc/PID/maps; not those deleted from disk
-    since they were mapped. A path may hold spaces."""
-    paths = set()
-    for line in maps_lines:
-        fields = line.rstrip("\n").split(maxsplit=5)
-        if (len(fields) == 6 and not fields[5].endswith(" (deleted)")
-                and "openblas" in fields[5].rsplit("/", 1)[-1]):
-            paths.add(fields[5])
-    return sorted(paths)
+        from numpy.linalg import _umath_linalg
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError):
+        return None
+    for prefix in ("openblas", "scipy_openblas"):
+        for suffix in ("", "64_"):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
 
 
 def _keep_freed_heap() -> None:
@@ -774,6 +749,12 @@ class _Helpers:
     when a call asks for more than have been started, so there are never
     more than the largest workers - 1 asked for. A kept thread keeps its
     malloc arena too, so the process's arena count stays fixed.
+
+    While any call holds lent helpers, numpy's OpenBLAS runs on one thread,
+    as a multi-threaded one serialises calls made at once from several
+    threads: on two CPUs with OpenBLAS at two threads, a default train step
+    was no faster on two workers than on one, and over a quarter faster with
+    OpenBLAS at one thread (BENCH_train.json one_blas_thread).
     """
 
     def __init__(self) -> None:
@@ -781,14 +762,17 @@ class _Helpers:
 
     def forget(self) -> None:
         """No helper at all: at creation, and in a forked child, which has
-        no thread but the one that forked."""
+        no thread but the one that forked and keeps its BLAS thread count."""
         self.lock = threading.Lock()
         self.idle: list[_Inbox] = []
         self.started = 0
+        self.pinned = 0  # calls holding lent helpers
+        self.saved = 0  # the BLAS thread count before the first of them
 
     def borrow(self, n: int) -> list[_Inbox]:
         """The inboxes of up to n idle helpers. While fewer than n are idle
         and fewer than n have been started, a new helper is started first."""
+        blas = _openblas_threads()
         with self.lock:
             while len(self.idle) < n and self.started < n:
                 inbox = _Inbox()
@@ -798,7 +782,20 @@ class _Helpers:
                 self.idle.append(inbox)
             lent = self.idle[max(0, len(self.idle) - n):]
             del self.idle[len(self.idle) - len(lent):]
+            if lent:
+                if not self.pinned and blas:
+                    self.saved = blas[0]()
+                    blas[1](1)
+                self.pinned += 1
         return lent
+
+    def release(self) -> None:
+        """Called by a call given helpers once each that took an item is idle."""
+        blas = _openblas_threads()
+        with self.lock:
+            self.pinned -= 1
+            if not self.pinned and blas:
+                blas[1](self.saved)
 
     def give_back(self, inbox: _Inbox) -> None:
         with self.lock:
@@ -829,7 +826,8 @@ def _run_all(fn, items, workers: int) -> list:
     room for both from then on. Helpers are daemon threads kept across calls
     and started at the first call that needs them (_Helpers); with no helper
     free, as in a call made from inside an item or beside another thread's
-    call, the caller runs every item alone. The call waits only for the
+    call, the caller runs every item alone. A call with a helper lent runs
+    numpy's OpenBLAS on one thread (_Helpers). The call waits only for the
     helpers that took one of its items. Once an item raises, items not yet
     started are dropped, and when every taken item is done the error of the
     first failing item in order is raised as it is.
@@ -890,6 +888,8 @@ def _run_all(fn, items, workers: int) -> list:
         with lock:
             taken = len(items)  # should the caller be interrupted, start no more
             changed.wait_for(lambda: not busy)
+        if inboxes:
+            helpers.release()
     if errors:
         raise errors[min(errors)]
     return results
@@ -898,8 +898,7 @@ def _run_all(fn, items, workers: int) -> list:
 def attention_maps(params: dict, cfg: TrainConfig, vocab: Vocabulary,
                    text: str | bytes) -> list[np.ndarray]:
     """Per-layer attention weight matrices for a single prompt (masked tail 0)."""
-    data = text.encode("utf-8") if isinstance(text, str) else bytes(text)
-    ids = vocab.encode(data)
+    ids = vocab.encode(_text_bytes(text))
     if len(ids) < 1:
         raise TextTooShort("prompt must contain at least one byte")
     x = params["embed"][ids[np.newaxis, :]]

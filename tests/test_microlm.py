@@ -430,7 +430,7 @@ class TestMicroBatches:
         sys.setswitchinterval(1e-6)
         try:
             for workers in (1, 2, 4):
-                monkeypatch.setattr(microlm, "_train_workers", lambda: workers)
+                monkeypatch.setattr(microlm, "_workers", lambda: workers)
                 before, started = threading.active_count(), helpers.started
                 ran.clear()
                 res = train(cfg)
@@ -452,7 +452,7 @@ class TestMicroBatches:
         # raised no thread is still running a micro-batch, and the one
         # helper is idle again
         monkeypatch.setattr(microlm, "_TRAIN_SHARD_WINDOWS", 2)
-        monkeypatch.setattr(microlm, "_train_workers", lambda: 2)
+        monkeypatch.setattr(microlm, "_workers", lambda: 2)
         _, vocab = load_corpus(corpus_path)
         cfg = tiny_config(corpus_path, batch=4)
         params = init_params(cfg, vocab.size, np.random.default_rng(0))
@@ -500,80 +500,160 @@ class TestMicroBatches:
         evaluate_ppl(params, cfg, vocab, vocab.decode(tokens[: 40 * cfg.seq_len + 1]))
 
 
-class TestWorkers:
-    def test_train_shares_cpus_out_among_blas_threads(self, monkeypatch):
-        monkeypatch.setattr(microlm.os, "sched_getaffinity", lambda pid: set(range(4)),
-                            raising=False)
-        for threads, workers in ((1, 4), (2, 2), (3, 1), (4, 1), (8, 1)):
-            monkeypatch.setattr(microlm, "_openblas_thread_getters",
-                                lambda: (lambda: 1, lambda: threads))
-            assert microlm._train_workers() == workers, threads
-            # eval runs on every CPU whatever the BLAS runs
-            assert microlm._workers() == 4
-        # with no OpenBLAS to ask, the BLAS is taken to use every CPU
-        monkeypatch.setattr(microlm, "_openblas_thread_getters", lambda: ())
-        assert microlm._train_workers() == 1
-        assert microlm._workers() == 4
+class FakeBlas:
+    """A (get, set) pair for microlm._openblas_threads that keeps the count
+    it is set to and every value set."""
 
-    def test_only_the_train_step_gives_way_to_blas_threads(self, corpus_path, monkeypatch):
-        # OpenBLAS at two threads on two CPUs: the step's two micro-batches
-        # run on the calling thread alone, eval's chunks on two threads
+    def __init__(self, threads: int) -> None:
+        self.threads = threads
+        self.sets = []
+
+    def get(self) -> int:
+        return self.threads
+
+    def set(self, threads: int) -> None:
+        self.sets.append(threads)
+        self.threads = threads
+
+
+@pytest.fixture
+def blas(monkeypatch, helpers):
+    """A fake OpenBLAS at 3 threads, which _run_all's calls pin to 1."""
+    fake = FakeBlas(3)
+    monkeypatch.setattr(microlm, "_openblas_threads", lambda: (fake.get, fake.set))
+    return fake
+
+
+class TestWorkers:
+    def test_train_step_and_eval_run_on_every_cpu(self, corpus_path, monkeypatch, helpers):
+        # with no OpenBLAS to pin, the step's two micro-batches and eval's
+        # two chunks still run on two threads: each first piece waits until
+        # the second has started, which only a helper can have taken
         tokens, vocab = load_corpus(corpus_path)
         cfg = tiny_config(corpus_path, batch=4)
         params = init_params(cfg, vocab.size, np.random.default_rng(1))
         inputs, targets = sample_windows(tokens, cfg.seq_len, cfg.batch, np.random.default_rng(2))
         monkeypatch.setattr(microlm, "_TRAIN_SHARD_WINDOWS", 2)
         monkeypatch.setattr(microlm, "_workers", lambda: 2)
-        monkeypatch.setattr(microlm, "_openblas_thread_getters", lambda: (lambda: 2,))
+        monkeypatch.setattr(microlm, "_openblas_threads", lambda: None)
         main = threading.get_ident()
         ran = record_threads(monkeypatch, "_forward", "_backward")
+        for name in ("_forward", "_backward"):
+            meet = threading.Barrier(2, timeout=60)
+
+            def meeting(*args, _fn=getattr(microlm, name), _meet=meet, **kwargs):
+                _meet.wait()
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(microlm, name, meeting)
         backward(forward_loss(params, inputs, targets, cfg)[1])
-        assert ran == [main] * 4
-        # eval's first chunk waits until the second has started, which only
-        # a helper can have taken
-        meet = threading.Barrier(2, timeout=60)
-
-        def meeting(*args, _fn=microlm._forward, **kwargs):
-            meet.wait()
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(microlm, "_forward", meeting)
-        ran.clear()
         windows = 2 * _EVAL_CHUNK_POSITIONS // cfg.seq_len
         evaluate_ppl(params, cfg, vocab, vocab.decode(tokens[: windows * cfg.seq_len + 1]))
-        assert len(ran) == 2 and main in ran
-        assert len(set(ran)) == 2 and set(ran) - {main} <= helper_idents()
+        assert len(ran) == 6 and ran.count(main) == 3
+        assert set(ran) - {main} <= helper_idents() and helpers.started == 1
 
-    def test_asks_the_loaded_openblas(self):
+    def test_asks_the_loaded_openblas(self, helpers):
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-        if "openblas" not in blas or not sys.platform.startswith("linux"):
-            pytest.skip(f"numpy's BLAS is {blas} on {sys.platform}")
-        getters = microlm._openblas_thread_getters()
-        assert getters and all(get() >= 1 for get in getters)
+        if "openblas" not in blas:
+            pytest.skip(f"numpy's BLAS is {blas}")
+        get, _ = microlm._openblas_threads()
+        threads = get()
+        assert threads >= 1
+        # a call with a helper lent runs numpy's BLAS on one thread, and
+        # puts its count back
+        assert run_bounded(lambda: _run_all(lambda i: get(), range(4), 2)) == [1] * 4
+        assert get() == threads
 
-    def test_maps_paths_with_spaces_and_deleted_files(self):
-        lines = [
-            "7f00-7f10 r-xp 00000000 08:01 42   /home/a b/venv/libscipy_openblas64_.so\n",
-            "7f10-7f20 r--p 00010000 08:01 42   /home/a b/venv/libscipy_openblas64_.so\n",
-            "7f20-7f30 r-xp 00000000 08:01 43   /usr/lib/libopenblas.so.0 (deleted)\n",
-            "7f30-7f40 r-xp 00000000 08:01 44   /opt/openblas/lib/libm.so.6\n",
-            "7f40-7f50 rw-p 00000000 00:00 0 \n",
-            "7f50-7f60 rw-p 00000000 00:00 0    [heap]\n",
-        ]
-        assert microlm._openblas_paths(lines) == ["/home/a b/venv/libscipy_openblas64_.so"]
+    def test_no_openblas_found(self, monkeypatch, helpers):
+        def no_library(name):
+            raise OSError("cannot load")
 
-    def test_unloadable_library_is_skipped(self, monkeypatch):
-        monkeypatch.setattr(microlm, "_openblas_paths",
-                            lambda lines: ["/no such dir/libopenblas.so"])
-        monkeypatch.setattr(microlm.os, "sched_getaffinity", lambda pid: set(range(4)),
-                            raising=False)
-        microlm._openblas_thread_getters.cache_clear()
+        for cdll in (no_library, lambda name: types.SimpleNamespace()):
+            monkeypatch.setattr(microlm.ctypes, "CDLL", cdll)
+            microlm._openblas_threads.cache_clear()
+            try:
+                assert microlm._openblas_threads() is None
+                # a call with a helper lent runs all the same
+                assert run_bounded(lambda: _run_all(lambda i: i, range(3), 2)) == [0, 1, 2]
+            finally:
+                microlm._openblas_threads.cache_clear()
+
+
+class TestOneBlasThread:
+    @pytest.mark.parametrize("workers", (2, 4))
+    def test_count_put_back_after_a_call(self, blas, workers):
+        # item 1 reads the count last, after the caller has run out of items
+        def fn(i):
+            if i == 1:
+                time.sleep(0.05)
+            return blas.threads
+
+        assert _run_all(fn, range(6), workers) == [1] * 6
+        assert blas.threads == 3 and blas.sets == [1, 3]
+
+    def test_count_put_back_after_a_raising_call(self, blas, helpers):
+        def fn(i):
+            if i == 1:
+                raise ValueError("item 1")
+            return blas.threads
+
+        with pytest.raises(ValueError, match="item 1"):
+            run_bounded(lambda: _run_all(fn, range(4), 2))
+        assert blas.threads == 3 and blas.sets == [1, 3] and all_idle(helpers)
+
+    def test_count_put_back_after_a_nested_call(self, blas, helpers):
+        # the inner calls find the one helper lent and run alone, so only
+        # the outer call sets the count
+        def outer(i):
+            return _run_all(lambda j: blas.threads, range(3), 2)
+
+        got = run_bounded(lambda: _run_all(outer, range(4), 2))
+        assert got == [[1] * 3] * 4 and blas.threads == 3 and blas.sets == [1, 3]
+
+    def test_nested_call_given_helpers_keeps_the_pin(self, blas, helpers):
+        # at 4 workers an inner call may be lent the helpers left idle: only
+        # the first call in sets the count and only the last out puts it back
+        def outer(i):
+            return _run_all(lambda j: blas.threads, range(4), 4)
+
+        for _ in range(10):
+            assert all_idle(helpers)
+            got = run_bounded(lambda: _run_all(outer, range(2), 2))
+            assert got == [[1] * 4] * 2 and blas.threads == 3
+        assert blas.sets == [1, 3] * 10 and helpers.started == 3
+
+    def test_callers_on_two_threads(self, blas, helpers):
+        # two callers at once, switching threads every microsecond: each set
+        # of 1 is followed by one of 3 (a lost depth update would set 1
+        # twice or put 3 back while a call still holds a helper), every item
+        # on a helper runs at one thread, and the count ends where it began
+        seen = []
+
+        def caller():
+            for _ in range(50):
+                seen.extend(_run_all(lambda i: (threading.get_ident(), blas.threads),
+                                     range(5), 2))
+
+        threads = [threading.Thread(target=caller, daemon=True) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            if sys.platform.startswith("linux"):
-                assert microlm._openblas_thread_getters() == ()
-            assert microlm._train_workers() == 1
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+                assert not thread.is_alive(), "a caller did not return: deadlock"
         finally:
-            microlm._openblas_thread_getters.cache_clear()
+            sys.setswitchinterval(interval)
+        assert len(seen) == 2 * 50 * 5
+        assert all(threads == 1 for ident, threads in seen if ident in helper_idents())
+        assert blas.threads == 3 and blas.sets == [1, 3] * (len(blas.sets) // 2)
+        assert all_idle(helpers)
+
+    def test_call_run_alone_sets_nothing(self, blas):
+        assert _run_all(lambda i: blas.threads, range(3), 1) == [3] * 3
+        assert _run_all(lambda i: blas.threads, range(1), 2) == [3]
+        assert blas.sets == []
 
 
 class TestRunAll:
@@ -687,7 +767,9 @@ class TestRunAll:
         proc = subprocess.run([sys.executable, "-c", FORKED_CHILD], env=package_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == {"parent_helpers": 1, "child_status": 0}
+        assert json.loads(proc.stdout) == {"parent_helpers": 1, "child_status": 0,
+                                           "pinned_child_status": 0,
+                                           "parent_count_kept": True}
 
     def test_interpreter_exits_with_helpers_idle(self):
         proc = subprocess.run([sys.executable, "-c", IDLE_AT_EXIT], env=package_env(),
@@ -705,7 +787,7 @@ def package_env() -> dict:
 # A 2-worker call whose items wait for each other, so a helper runs one, in
 # a process and then in a child it forks: the child has no thread but its
 # own, so it must start a helper of its own. Prints the parent's helper count
-# and the child's exit status (1 if its call failed).
+# and the exit status of each child (1 if its call failed).
 FORKED_CHILD = r"""
 import json, os, threading, traceback
 from sasoftmax import microlm
@@ -727,8 +809,41 @@ if pid == 0:
         traceback.print_exc()
     os._exit(0 if ok else 1)
 _, status = os.waitpid(pid, 0)
+
+# A fork taken inside a pinned call's item while the other item's thread
+# holds the pool's lock, as a call setting the BLAS count would: the child
+# must not wait for that lock, and its own call puts back the count it was
+# forked with.
+held, forked = threading.Event(), threading.Event()
+blas = microlm._openblas_threads()
+count = blas[0] if blas else lambda: None
+before = count()
+
+def fork_in_item(i):
+    if i == 0:
+        with microlm._helpers.lock:
+            held.set()
+            forked.wait(20)
+        return 0
+    held.wait(20)
+    pid = os.fork()
+    if pid == 0:
+        ok = False
+        try:
+            forked_with = count()
+            ok = meeting_call() and count() == forked_with
+        except BaseException:
+            traceback.print_exc()
+        os._exit(0 if ok else 1)
+    forked.set()
+    return pid
+
+pinned_pid = microlm._run_all(fork_in_item, range(2), 2)[1]
+_, pinned_status = os.waitpid(pinned_pid, 0)
 print(json.dumps({"parent_helpers": microlm._helpers.started,
-                  "child_status": os.waitstatus_to_exitcode(status)}))
+                  "child_status": os.waitstatus_to_exitcode(status),
+                  "pinned_child_status": os.waitstatus_to_exitcode(pinned_status),
+                  "parent_count_kept": count() == before}))
 """
 
 # Three helpers, all idle once the call has returned, at interpreter exit.
@@ -785,7 +900,7 @@ def loss_and_grads():
 
 threaded = loss_and_grads()
 threads = microlm._helpers.started
-microlm._train_workers = lambda: 1
+microlm._workers = lambda: 1
 print(json.dumps({"median_faults": statistics.median(faults), "threads": threads,
                   "same_bits": loss_and_grads() == threaded}))
 """
@@ -794,19 +909,16 @@ print(json.dumps({"median_faults": statistics.median(faults), "threads": threads
 class TestKeptHeap:
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
     def test_train_step_reuses_its_heap_on_two_threads(self):
-        # one BLAS thread, as perfbench runs, so _train_workers() gives the
-        # step's two micro-batches a thread each on two CPUs; without the
-        # kept heap a step takes thousands of minor faults
-        env = {**package_env(), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-               "MKL_NUM_THREADS": "1"}
-        proc = subprocess.run([sys.executable, "-c", KEPT_HEAP_STEPS], env=env,
+        # the BLAS at its own default thread count: the step's two
+        # micro-batches get a thread each on two CPUs; without the kept heap
+        # a step takes thousands of minor faults
+        proc = subprocess.run([sys.executable, "-c", KEPT_HEAP_STEPS], env=package_env(),
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         out = json.loads(proc.stdout)
         assert out["median_faults"] < 100, out
         assert out["same_bits"], out
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-        if "openblas" in blas and microlm._workers() >= 2:
+        if microlm._workers() >= 2:
             assert out["threads"] > 0, out
 
     def test_no_glibc_mallopt_sets_nothing(self, monkeypatch):
@@ -866,7 +978,7 @@ def meeting(*args, **kwargs):
     return forward(*args, **kwargs)
 
 microlm._forward = meeting
-microlm._workers = microlm._train_workers = lambda: 2
+microlm._workers = lambda: 2
 unloaded = "scipy.special" not in sys.modules
 sys.setswitchinterval(1e-6)
 threaded = run()
@@ -874,7 +986,7 @@ sys.setswitchinterval(0.005)
 loaded = "scipy.special" in sys.modules
 threads = len(set(ran))
 microlm._forward = forward
-microlm._workers = microlm._train_workers = lambda: 1
+microlm._workers = lambda: 1
 print(json.dumps({"unloaded_before": unloaded, "loaded_after": loaded, "threads": threads,
                   "same_bits": run() == threaded}))
 """
@@ -1205,6 +1317,14 @@ class TestEvaluate:
         with pytest.raises(UnknownSymbol):
             evaluate_ppl(res.params, cfg, res.vocab, "abz")
 
+    def test_lone_surrogate_rejected(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("abababab")
+        cfg = tiny_config(path, seq_len=2)
+        res = train(TrainConfig(**{**cfg.__dict__, "steps": 0}))
+        with pytest.raises(UnknownSymbol, match=r"'\\udcff' at index 2"):
+            evaluate_ppl(res.params, cfg, res.vocab, "ab\udcffabab")
+
     def test_text_too_short_rejected(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("abababab")
@@ -1293,6 +1413,12 @@ class TestAttentionMaps:
         for w in maps:
             assert w.shape == (4, 4)
             assert np.all(w[np.triu_indices(4, 1)] == 0.0)
+
+    def test_lone_surrogate_rejected(self, corpus_path):
+        cfg = tiny_config(corpus_path, steps=0)
+        res = train(cfg)
+        with pytest.raises(UnknownSymbol, match=r"'\\udcff' at index 0"):
+            attention_maps(res.params, cfg, res.vocab, "\udcff")
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_maps_equal_forward_cache(self, corpus_path, kind):
