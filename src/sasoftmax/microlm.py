@@ -10,11 +10,14 @@ process may use, and combine the results in a fixed order. The pieces run on
 the calling thread and on daemon helper threads that are kept across calls
 (_run_all): each helper is started by the first call that needs it, waits
 idle between calls and keeps its malloc arena, so no step pays for a fresh
-thread or arena. A forked child starts with no helper.
+thread or arena. One call at a time holds the helpers: a call made from
+inside a piece, or beside another thread's call, runs its pieces alone. A
+forked child starts with no helper.
 
 While a call runs pieces beside a helper, numpy's OpenBLAS runs on one
 thread (_Helpers), so numpy BLAS calls that other threads make meanwhile do
-too. Where numpy's OpenBLAS cannot be found, nothing is set.
+too; a child forked meanwhile gets the count from before the call back.
+Where numpy's OpenBLAS cannot be found, nothing is set.
 
 Importing this module, and so the sasoftmax package, sets two glibc malloc
 thresholds for the whole process (_keep_freed_heap): freed blocks stay mapped
@@ -172,7 +175,15 @@ class Vocabulary:
         return ids
 
     def decode(self, ids: np.ndarray) -> bytes:
-        return bytes(self.byte_values[int(i)] for i in np.asarray(ids).ravel())
+        """The bytes of ids. Ids that are not integers raise ShapeMismatch,
+        and one outside [0, size) raises UnknownSymbol."""
+        ids = np.asarray(ids).ravel()
+        if ids.size and not np.issubdtype(ids.dtype, np.integer):
+            raise ShapeMismatch(f"token ids must be integers, got dtype {ids.dtype}")
+        bad = ids[(ids < 0) | (ids >= self.size)]
+        if bad.size:
+            raise UnknownSymbol(f"token id {bad[0]} is outside [0, {self.size})")
+        return np.array(self.byte_values, dtype=np.uint8)[ids.astype(np.intp)].tobytes()
 
 
 def load_corpus(path: str | Path) -> tuple[np.ndarray, Vocabulary]:
@@ -722,9 +733,10 @@ _keep_freed_heap()
 
 class _Inbox:
     """Where one helper waits for its next job. There is never more than one:
-    a helper is lent again only once it is idle, after taking its job. The
-    lock is held while the inbox is empty. (queue.SimpleQueue would do, but
-    importing queue added ~0.1 MB to every process's RSS.)"""
+    a helper is lent again only once the call it served has returned, and so
+    once it has taken its job. The lock is held while the inbox is empty.
+    (queue.SimpleQueue would do, but importing queue added ~0.1 MB to every
+    process's RSS.)"""
 
     def __init__(self) -> None:
         self.job = None
@@ -744,62 +756,59 @@ class _Inbox:
 class _Helpers:
     """The daemon threads _run_all lends its items to, kept across calls.
 
-    Each helper waits on its own inbox for one call's work at a time, and is
-    idle again before that call can see it finish. A helper is started only
-    when a call asks for more than have been started, so there are never
-    more than the largest workers - 1 asked for. A kept thread keeps its
-    malloc arena too, so the process's arena count stays fixed.
+    One call at a time holds the pool, from lend to release; a call that
+    finds it held (one made from inside an item, or beside another thread's
+    call) gets no helper. Each helper waits on its own inbox between calls.
+    A helper is started only when a call asks for more than have been
+    started, so there are never more than the largest workers - 1 asked for.
+    A kept thread keeps its malloc arena too, so the process's arena count
+    stays fixed.
 
-    While any call holds lent helpers, numpy's OpenBLAS runs on one thread,
-    as a multi-threaded one serialises calls made at once from several
-    threads: on two CPUs with OpenBLAS at two threads, a default train step
-    was no faster on two workers than on one, and over a quarter faster with
+    While a call holds the pool, numpy's OpenBLAS runs on one thread, as a
+    multi-threaded one serialises calls made at once from several threads:
+    on two CPUs with OpenBLAS at two threads, a default train step was no
+    faster on two workers than on one, and over a quarter faster with
     OpenBLAS at one thread (BENCH_train.json one_blas_thread).
     """
 
     def __init__(self) -> None:
-        self.forget()
+        self.lock = threading.Lock()  # held by the call holding the pool
+        self.inboxes: list[_Inbox] = []  # one per started helper
+        self.saved = None  # the BLAS thread count while a call holds it at 1
 
-    def forget(self) -> None:
-        """No helper at all: at creation, and in a forked child, which has
-        no thread but the one that forked and keeps its BLAS thread count."""
-        self.lock = threading.Lock()
-        self.idle: list[_Inbox] = []
-        self.started = 0
-        self.pinned = 0  # calls holding lent helpers
-        self.saved = 0  # the BLAS thread count before the first of them
-
-    def borrow(self, n: int) -> list[_Inbox]:
-        """The inboxes of up to n idle helpers. While fewer than n are idle
-        and fewer than n have been started, a new helper is started first."""
-        blas = _openblas_threads()
-        with self.lock:
-            while len(self.idle) < n and self.started < n:
+    def lend(self, n: int) -> list[_Inbox]:
+        """The inboxes of n helpers, started as needed, with the BLAS set to
+        one thread; none if n < 1 or another call holds the pool."""
+        if n < 1 or not self.lock.acquire(blocking=False):
+            return []
+        try:
+            while len(self.inboxes) < n:
                 inbox = _Inbox()
                 threading.Thread(target=_serve, args=(inbox,), daemon=True,
-                                 name=f"sasoftmax-helper-{self.started + 1}").start()
-                self.started += 1
-                self.idle.append(inbox)
-            lent = self.idle[max(0, len(self.idle) - n):]
-            del self.idle[len(self.idle) - len(lent):]
-            if lent:
-                if not self.pinned and blas:
-                    self.saved = blas[0]()
-                    blas[1](1)
-                self.pinned += 1
-        return lent
+                                 name=f"sasoftmax-helper-{len(self.inboxes) + 1}").start()
+                self.inboxes.append(inbox)
+        except BaseException:
+            self.lock.release()
+            raise
+        blas = _openblas_threads()
+        if blas:
+            self.saved = blas[0]()
+            blas[1](1)
+        return self.inboxes[:n]
 
     def release(self) -> None:
-        """Called by a call given helpers once each that took an item is idle."""
-        blas = _openblas_threads()
-        with self.lock:
-            self.pinned -= 1
-            if not self.pinned and blas:
-                blas[1](self.saved)
+        """Called by the call given helpers once each has run its last item."""
+        if self.saved is not None:
+            _openblas_threads()[1](self.saved)
+            self.saved = None
+        self.lock.release()
 
-    def give_back(self, inbox: _Inbox) -> None:
-        with self.lock:
-            self.idle.append(inbox)
+    def forget(self) -> None:
+        """In a forked child, which has no thread but the one that forked: no
+        helper, a free pool, and the BLAS count from before a call set it to 1."""
+        if self.saved is not None:
+            _openblas_threads()[1](self.saved)
+        self.__init__()
 
 
 def _serve(inbox: _Inbox) -> None:
@@ -818,76 +827,65 @@ if hasattr(os, "register_at_fork"):  # not on Windows
 def _run_all(fn, items, workers: int) -> list:
     """[fn(item) for item in items], the items run side by side.
 
-    The calling thread runs items itself, beside up to workers - 1 idle
-    helper threads (fewer if there are fewer items), each thread taking the
-    next item in order. No thread takes a second item before every helper
-    lent to the call has taken its first: a thread that ran two of the first
-    items would hold both results at once, and its malloc arena would keep
-    room for both from then on. Helpers are daemon threads kept across calls
-    and started at the first call that needs them (_Helpers); with no helper
-    free, as in a call made from inside an item or beside another thread's
-    call, the caller runs every item alone. A call with a helper lent runs
-    numpy's OpenBLAS on one thread (_Helpers). The call waits only for the
-    helpers that took one of its items. Once an item raises, items not yet
-    started are dropped, and when every taken item is done the error of the
-    first failing item in order is raised as it is.
+    The calling thread runs items itself, beside up to workers - 1 helper
+    threads (fewer if there are fewer items). Thread k runs item k first, so
+    no thread runs two of the first items: one that did would hold both
+    results at once, and its malloc arena would keep room for both from then
+    on. After its first item each thread takes the next item not yet taken,
+    in order, so a faster thread runs more of them. Helpers are daemon
+    threads kept across calls and started at the first call that needs them
+    (_Helpers); a call that finds the pool held, as one made from inside an
+    item or beside another thread's call does, runs every item alone. A
+    call with a helper lent runs numpy's OpenBLAS on one thread (_Helpers).
+    Once an item raises, no thread starts another item after its first,
+    and when every started item is done the error of the first failing item
+    in order is raised as it is.
     """
     items = list(items)
+    if not items:
+        return []
     results = [None] * len(items)
     errors = {}
     lock = threading.Lock()
-    changed = threading.Condition(lock)
+    done = threading.Semaphore(0)  # released once by each lent helper
     helpers = _helpers
-    inboxes = helpers.borrow(min(workers, len(items)) - 1)
-    taken = 0  # items started so far
-    coming = len(inboxes)  # lent helpers that have not woken yet
-    busy = 0  # helpers that took an item and are not idle again
+    inboxes = helpers.lend(min(workers, len(items)) - 1)
+    taken = len(inboxes) + 1  # items started or given to a thread
 
-    def work(helper: bool = False) -> bool:
-        """Run the next items until none is left or one has failed; whether
-        any item ran. A helper counts itself busy from its first item."""
-        nonlocal taken, coming, busy
-        took = False
+    def work(i: int) -> None:
+        """Run item i, then the next items until none is left or one has failed."""
+        nonlocal taken
         while True:
-            with lock:
-                if took:
-                    changed.wait_for(lambda: errors or not coming)
-                elif helper:
-                    # woken, whether or not an item is left for it
-                    coming -= 1
-                    changed.notify_all()
-                if errors or taken == len(items):
-                    return took
-                i = taken
-                taken += 1
-                if helper and not took:
-                    busy += 1
-            took = True
             try:
                 results[i] = fn(items[i])
             except BaseException as exc:
                 with lock:
                     errors[i] = exc
-                    changed.notify_all()
-                return took
-
-    def lend(inbox: _Inbox) -> None:
-        nonlocal busy
-        took = work(helper=True)
-        helpers.give_back(inbox)
-        if took:
+                return
             with lock:
-                busy -= 1
-                changed.notify_all()
+                if errors or taken == len(items):
+                    return
+                i = taken
+                taken += 1
 
-    for inbox in inboxes:
-        inbox.put(functools.partial(lend, inbox))
+    def job(k: int) -> None:
+        """What helper k runs for this call: item k, then the next items."""
+        try:
+            work(k)
+        finally:
+            done.release()
+
+    for k, inbox in enumerate(inboxes, 1):
+        inbox.put(functools.partial(job, k))
     try:
-        work()
-    finally:
+        work(0)
+    except BaseException as exc:  # the caller interrupted between items
         with lock:
-            taken = len(items)  # should the caller be interrupted, start no more
-            changed.wait_for(lambda: not busy)
+            errors[-1] = exc  # so no thread starts another
+        raise
+    finally:
+        for _ in inboxes:
+            done.acquire()
         if inboxes:
             helpers.release()
     if errors:

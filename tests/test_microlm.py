@@ -111,16 +111,6 @@ def helper_idents() -> set[int]:
     return {t.ident for t in threading.enumerate() if t.name.startswith("sasoftmax-helper-")}
 
 
-def all_idle(pool, timeout: float = 30.0) -> bool:
-    """Whether every helper of pool is idle within timeout seconds. A helper
-    lent to a call that took none of its items may still be on its way back
-    when the call returns; one that took an item is idle before it returns."""
-    deadline = time.monotonic() + timeout
-    while len(pool.idle) < pool.started and time.monotonic() < deadline:
-        time.sleep(0.001)
-    return len(pool.idle) == pool.started
-
-
 def run_bounded(fn, timeout: float = 60.0):
     """fn() on a daemon thread, failing the test if it is still running
     after timeout seconds (a deadlock) and raising what fn raised."""
@@ -198,6 +188,18 @@ class TestCorpus:
         path.write_text("hello world")
         tokens, vocab = load_corpus(path)
         assert vocab.decode(tokens) == b"hello world"
+
+    def test_decode_rejects_a_negative_id(self):
+        with pytest.raises(UnknownSymbol, match="-1"):
+            Vocabulary((97, 98, 99)).decode([-1, 0])
+
+    def test_decode_rejects_an_id_past_the_vocabulary(self):
+        with pytest.raises(UnknownSymbol, match="3"):
+            Vocabulary((97, 98, 99)).decode([3])
+
+    def test_decode_rejects_a_non_integer_id(self):
+        with pytest.raises(ShapeMismatch, match="integers"):
+            Vocabulary((97, 98, 99)).decode([1.7])
 
 
 class TestForwardLoss:
@@ -431,11 +433,11 @@ class TestMicroBatches:
         try:
             for workers in (1, 2, 4):
                 monkeypatch.setattr(microlm, "_workers", lambda: workers)
-                before, started = threading.active_count(), helpers.started
+                before, started = threading.active_count(), len(helpers.inboxes)
                 ran.clear()
                 res = train(cfg)
-                assert helpers.started <= workers - 1
-                assert threading.active_count() - before == helpers.started - started
+                assert len(helpers.inboxes) <= workers - 1
+                assert threading.active_count() - before == len(helpers.inboxes) - started
                 assert len(ran) == 2 * 4 * cfg.steps
                 assert set(ran) - {main} <= helper_idents()
                 assert len(set(ran) - {main}) <= workers - 1
@@ -449,8 +451,8 @@ class TestMicroBatches:
                                                         helpers):
         # the NaN sits in the embedding row of an id that only the second
         # micro-batch reads, so the first one succeeds; when the error is
-        # raised no thread is still running a micro-batch, and the one
-        # helper is idle again
+        # raised no thread is still running a micro-batch, and the pool is
+        # free again
         monkeypatch.setattr(microlm, "_TRAIN_SHARD_WINDOWS", 2)
         monkeypatch.setattr(microlm, "_workers", lambda: 2)
         _, vocab = load_corpus(corpus_path)
@@ -464,7 +466,7 @@ class TestMicroBatches:
             forward_loss(params, inputs, inputs, cfg)
         assert len(ran) == 2 and len(done) == 2
         assert set(ran) - {threading.get_ident()} <= helper_idents()
-        assert helpers.started == 1 and all_idle(helpers)
+        assert len(helpers.inboxes) == 1 and not helpers.lock.locked()
 
     def test_one_micro_batch_keeps_one_backward(self, corpus_path):
         # a batch that fits in one micro-batch gets the bits of one backward
@@ -550,7 +552,7 @@ class TestWorkers:
         windows = 2 * _EVAL_CHUNK_POSITIONS // cfg.seq_len
         evaluate_ppl(params, cfg, vocab, vocab.decode(tokens[: windows * cfg.seq_len + 1]))
         assert len(ran) == 6 and ran.count(main) == 3
-        assert set(ran) - {main} <= helper_idents() and helpers.started == 1
+        assert set(ran) - {main} <= helper_idents() and len(helpers.inboxes) == 1
 
     def test_asks_the_loaded_openblas(self, helpers):
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
@@ -599,34 +601,25 @@ class TestOneBlasThread:
 
         with pytest.raises(ValueError, match="item 1"):
             run_bounded(lambda: _run_all(fn, range(4), 2))
-        assert blas.threads == 3 and blas.sets == [1, 3] and all_idle(helpers)
+        assert blas.threads == 3 and blas.sets == [1, 3] and not helpers.lock.locked()
 
-    def test_count_put_back_after_a_nested_call(self, blas, helpers):
-        # the inner calls find the one helper lent and run alone, so only
-        # the outer call sets the count
+    @pytest.mark.parametrize("workers", (2, 4))
+    def test_count_put_back_after_a_nested_call(self, blas, helpers, workers):
+        # the inner calls find the pool held by the outer call and run
+        # alone, so only the outer call sets the count
         def outer(i):
-            return _run_all(lambda j: blas.threads, range(3), 2)
+            return _run_all(lambda j: blas.threads, range(3), workers)
 
-        got = run_bounded(lambda: _run_all(outer, range(4), 2))
+        got = run_bounded(lambda: _run_all(outer, range(4), workers))
         assert got == [[1] * 3] * 4 and blas.threads == 3 and blas.sets == [1, 3]
-
-    def test_nested_call_given_helpers_keeps_the_pin(self, blas, helpers):
-        # at 4 workers an inner call may be lent the helpers left idle: only
-        # the first call in sets the count and only the last out puts it back
-        def outer(i):
-            return _run_all(lambda j: blas.threads, range(4), 4)
-
-        for _ in range(10):
-            assert all_idle(helpers)
-            got = run_bounded(lambda: _run_all(outer, range(2), 2))
-            assert got == [[1] * 4] * 2 and blas.threads == 3
-        assert blas.sets == [1, 3] * 10 and helpers.started == 3
+        assert len(helpers.inboxes) == workers - 1 and not helpers.lock.locked()
 
     def test_callers_on_two_threads(self, blas, helpers):
         # two callers at once, switching threads every microsecond: each set
-        # of 1 is followed by one of 3 (a lost depth update would set 1
-        # twice or put 3 back while a call still holds a helper), every item
-        # on a helper runs at one thread, and the count ends where it began
+        # of 1 is followed by one of 3 (a call that set 1 while another held
+        # the pool, or put 3 back while a helper still ran, would break the
+        # pairs), every item on a helper runs at one thread, and the count
+        # ends where it began
         seen = []
 
         def caller():
@@ -648,7 +641,7 @@ class TestOneBlasThread:
         assert len(seen) == 2 * 50 * 5
         assert all(threads == 1 for ident, threads in seen if ident in helper_idents())
         assert blas.threads == 3 and blas.sets == [1, 3] * (len(blas.sets) // 2)
-        assert all_idle(helpers)
+        assert not helpers.lock.locked()
 
     def test_call_run_alone_sets_nothing(self, blas):
         assert _run_all(lambda i: blas.threads, range(3), 1) == [3] * 3
@@ -668,7 +661,7 @@ class TestRunAll:
         # fails, 5 is never started. When the error is raised every started
         # item has finished (1 runs long, so a call that raised before its
         # items were done would show); only the caller and at most
-        # workers - 1 helpers ran items, and every helper is idle again.
+        # workers - 1 helpers ran items, and the pool is free again.
         ran = []
         done = []
         threads = []
@@ -689,22 +682,38 @@ class TestRunAll:
             _run_all(fn, range(6), workers)
         assert sorted(done) == sorted(ran)
         assert {0, 1, 2} <= set(ran) and 5 not in ran
-        assert helpers.started == workers - 1 and all_idle(helpers)
+        assert len(helpers.inboxes) == workers - 1 and not helpers.lock.locked()
         assert set(threads) - {threading.get_ident()} <= helper_idents()
         assert len(set(threads)) <= workers
+
+    def test_first_item_of_a_helper_fails_after_a_later_item(self, helpers):
+        # item 1, the helper's first, fails late; the caller, done with item
+        # 0, takes item 2, which fails at once. Item 1 is still run, and its
+        # error is the one raised.
+        def fn(i):
+            if i == 1:
+                time.sleep(0.02)
+            if i:
+                raise ValueError(str(i))
+            return i
+
+        with pytest.raises(ValueError, match="^1$"):
+            run_bounded(lambda: _run_all(fn, range(3), 2))
+        assert len(helpers.inboxes) == 1 and not helpers.lock.locked()
 
     @pytest.mark.parametrize("workers", (2, 4))
     def test_every_lent_helper_takes_one_of_the_first_items(self, workers, helpers):
         # the caller could run the first items alone before a helper wakes;
-        # it waits instead, so each of the first items runs on its own thread
+        # thread k is given item k instead, so each of the first items runs
+        # on its own thread
         for _ in range(20):
             got = _run_all(lambda i: threading.get_ident(), range(3 * workers), workers)
             assert len(set(got[:workers])) == workers
-        assert helpers.started == workers - 1 and all_idle(helpers)
+        assert len(helpers.inboxes) == workers - 1 and not helpers.lock.locked()
 
     def test_nested_call_runs_alone(self, helpers):
-        # an item's own _run_all finds the one helper busy (or lent to the
-        # outer call) and runs its items on the item's thread
+        # an item's own _run_all finds the pool held by the outer call and
+        # runs its items on the item's thread
         def outer(i):
             inner = threading.get_ident()
             return _run_all(lambda j: (i, j, threading.get_ident() == inner), range(3), 2)
@@ -712,14 +721,13 @@ class TestRunAll:
         got = run_bounded(lambda: _run_all(outer, range(4), 2))
         assert [[(i, j) for i, j, _ in row] for row in got] == \
             [[(i, j) for j in range(3)] for i in range(4)]
-        assert helpers.started == 1 and all_idle(helpers)
+        assert len(helpers.inboxes) == 1 and not helpers.lock.locked()
 
     def test_callers_on_several_threads(self, helpers):
         # four callers, more than helpers or cores, with the interpreter
         # switching threads every microsecond: every call gets its own
         # results in order, no more than workers - 1 helpers start, and
-        # every helper is handed back (a lost update to the idle list would
-        # leave one out)
+        # the pool is free again
         results = [None] * 4
 
         def caller(c):
@@ -738,7 +746,7 @@ class TestRunAll:
             sys.setswitchinterval(interval)
         assert results == [[[(c, k, i * i) for i in range(7)] for k in range(40)]
                            for c in range(4)]
-        assert helpers.started <= 2 and all_idle(helpers)
+        assert len(helpers.inboxes) <= 2 and not helpers.lock.locked()
 
     def test_helper_kept_after_a_failure(self, helpers):
         # both items wait for each other, so each call runs one on its
@@ -760,7 +768,7 @@ class TestRunAll:
             got = run_bounded(lambda: _run_all(
                 meeting(threading.Barrier(2, timeout=30), False), range(2), 2))
             assert sorted(got) == [False, True]
-        assert helpers.started == 1 and helper_idents() == helper and all_idle(helpers)
+        assert len(helpers.inboxes) == 1 and helper_idents() == helper and not helpers.lock.locked()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
     def test_forked_child_starts_its_own_helper(self):
@@ -804,58 +812,49 @@ pid = os.fork()
 if pid == 0:
     ok = False
     try:
-        ok = meeting_call() and microlm._helpers.started == 1
+        ok = meeting_call() and len(microlm._helpers.inboxes) == 1
     except BaseException:
         traceback.print_exc()
     os._exit(0 if ok else 1)
 _, status = os.waitpid(pid, 0)
 
-# A fork taken inside a pinned call's item while the other item's thread
-# holds the pool's lock, as a call setting the BLAS count would: the child
-# must not wait for that lock, and its own call puts back the count it was
-# forked with.
-held, forked = threading.Event(), threading.Event()
+# A fork taken inside an item of a call that holds the pool and has set the
+# BLAS count to 1: the child must not wait for the pool's lock, and reads the
+# count the parent had before the call, before and after its own call.
 blas = microlm._openblas_threads()
 count = blas[0] if blas else lambda: None
 before = count()
 
 def fork_in_item(i):
     if i == 0:
-        with microlm._helpers.lock:
-            held.set()
-            forked.wait(20)
         return 0
-    held.wait(20)
     pid = os.fork()
     if pid == 0:
         ok = False
         try:
-            forked_with = count()
-            ok = meeting_call() and count() == forked_with
+            ok = count() == before and meeting_call() and count() == before
         except BaseException:
             traceback.print_exc()
         os._exit(0 if ok else 1)
-    forked.set()
     return pid
 
 pinned_pid = microlm._run_all(fork_in_item, range(2), 2)[1]
 _, pinned_status = os.waitpid(pinned_pid, 0)
-print(json.dumps({"parent_helpers": microlm._helpers.started,
+print(json.dumps({"parent_helpers": len(microlm._helpers.inboxes),
                   "child_status": os.waitstatus_to_exitcode(status),
                   "pinned_child_status": os.waitstatus_to_exitcode(pinned_status),
                   "parent_count_kept": count() == before}))
 """
 
-# Three helpers, all idle once the call has returned, at interpreter exit.
+# Three helpers, the pool free once the call has returned, at interpreter exit.
 IDLE_AT_EXIT = r"""
-import threading, time
+import threading
 from sasoftmax import microlm
 
 meet = threading.Barrier(4, timeout=20)
 microlm._run_all(lambda i: meet.wait(), range(4), 4)
-while len(microlm._helpers.idle) < 3:
-    time.sleep(0.001)
-print(len(microlm._helpers.idle), "idle")
+assert not microlm._helpers.lock.locked()
+print(len(microlm._helpers.inboxes), "idle")
 """
 
 
@@ -899,7 +898,7 @@ def loss_and_grads():
     return [np.float64(loss).tobytes()] + [grads[name].tobytes() for name in sorted(grads)]
 
 threaded = loss_and_grads()
-threads = microlm._helpers.started
+threads = len(microlm._helpers.inboxes)
 microlm._workers = lambda: 1
 print(json.dumps({"median_faults": statistics.median(faults), "threads": threads,
                   "same_bits": loss_and_grads() == threaded}))
@@ -1266,8 +1265,8 @@ class TestEvaluate:
     def test_chunk_error_raised_and_no_thread_left(self, corpus_path, monkeypatch, helpers):
         # the NaN sits in the embedding of a byte first read in the fourth
         # chunk or later, so the chunks before the failing one succeed; when
-        # the error is raised no thread is still running a chunk, and the one
-        # helper is idle again
+        # the error is raised no thread is still running a chunk, and the
+        # pool is free again
         tokens, vocab = load_corpus(corpus_path)
         cfg = tiny_config(corpus_path, layers=1, d_model=8, seq_len=16)
         params = init_params(cfg, vocab.size, np.random.default_rng(4))
@@ -1282,7 +1281,7 @@ class TestEvaluate:
             evaluate_ppl(params, cfg, vocab, vocab.decode(ids))
         assert 4 <= len(ran) <= 8 and len(done) == len(ran)
         assert set(ran) - {threading.get_ident()} <= helper_idents()
-        assert helpers.started == 1 and all_idle(helpers)
+        assert len(helpers.inboxes) == 1 and not helpers.lock.locked()
 
     def test_peak_memory_flat_in_text_length(self, corpus_path, monkeypatch):
         # Two workers keep two chunks alive, whose temporaries peak together
